@@ -1,8 +1,9 @@
 """Named, reproducible experiments with confidence intervals and reports.
 
 Every experiment is a pure function of its config: per-trial generators
-come from (seed, row, trial), chunks combine in a fixed order, and record
-emission is sorted, so reruns reproduce byte-identical CSV and JSON.
+come from (seed, row, trial) (the matrix estimators take one per fixed
+chunk, keyed by its first trial), chunks combine in a fixed order, and
+record emission is sorted, so reruns reproduce byte-identical CSV and JSON.
 Worker processes only change wall time, never output.
 
 Flag convention: a bound comparison is flagged when the empirical value
@@ -35,8 +36,8 @@ from .exchange import (
     symmetric_partners,
 )
 from .gf import make_field
-from .matfq import MatFq, alpha, beta, nonsingular_count, random_matrix, rank, sequential_full_rank
-from .randmodel import derive_rng, run_trial, sample_ordered_basis, theorem_tail
+from .matfq import MatFq, alpha, beta, nonsingular_count, rank, sequential_full_rank
+from .randmodel import derive_rng, run_trial, sample_ordered_basis, theorem_tail, zprime_zero_bound
 
 _CHUNK = 512
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -152,12 +153,14 @@ def _chunk_ranges(trials: int):
 
 
 def _estimate_chunk(args) -> int:
+    # one stream per chunk, keyed by the chunk start; chunk bounds do not
+    # depend on jobs, so neither does any matrix drawn
     kind, q, k, seed, lo, hi = args
     fld = make_field(q)
+    draws = derive_rng(seed, 0, lo).integers(0, q, size=(hi - lo, k, k), dtype=np.uint8)
     succ = 0
-    for t in range(lo, hi):
-        rng = derive_rng(seed, 0, t)
-        m = random_matrix(rng, k, k, fld)
+    for ent in draws:
+        m = MatFq(fld, ent)
         if kind == "alpha":
             succ += int(rank(m) == k)
         else:
@@ -391,7 +394,7 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
             reported += 1
             zero = int(totals.zprime_zero_by_z[s])
             est = zero / count
-            bound = float((1 - beta(config.k, config.q)) ** s)
+            bound = zprime_zero_bound(s, config.k, config.q)
             sigma = math.sqrt(bound * (1 - bound) / count)
             low, high = wilson_interval(zero, count)
             records.append(

@@ -23,6 +23,10 @@ class UnsupportedExtension(ValueError):
     """q = p^e with e > 1 but no reduction polynomial is on file."""
 
 
+class FieldTooLarge(ValueError):
+    """q exceeds 256, the number of element indices a uint8 entry holds."""
+
+
 class FieldMismatch(ValueError):
     """Operands belong to different fields."""
 
@@ -206,10 +210,13 @@ class FieldSpec:
 def make_field(q: int) -> FieldSpec:
     """Build (or fetch the cached) GF(q).
 
-    Raises NotPrimePower when q is not a prime power and
+    Raises FieldTooLarge when q > 256 (the op tables and matrix entries
+    are uint8), NotPrimePower when q is not a prime power, and
     UnsupportedExtension when q = p^e with e > 1 is absent from the
     reduction-polynomial table.
     """
+    if q > 256:
+        raise FieldTooLarge(f"FieldTooLarge: q = {q} exceeds 256, the number of values a uint8 entry holds")
     p, e = _prime_power(q)
     if e == 1:
         return FieldSpec(q, p, 1, None)

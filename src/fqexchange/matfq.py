@@ -77,9 +77,6 @@ class MatFq:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def entry(self, i: int, j: int) -> Fq:
-        return Fq(int(self.entries[i, j]), self.field)
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.entries[:, j])
 
@@ -313,6 +310,23 @@ def reduce_against(v: MatFq, u: MatFq) -> MatFq:
     if r < n:
         raise SingularBasis(f"left block has rank {r} < {n}")
     return MatFq(v.field, aug[:, n:])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Product of two index arrays over GF(q), through the field tables.
+
+    Every term a[i, l] * b[l, j] is looked up at once, zero-padded along l
+    to a power of two, and summed by halving, so the table additions take
+    log2(inner) vectorized steps.
+    """
+    inner = a.shape[1]
+    width = 1 << max(inner - 1, 0).bit_length()
+    terms = np.zeros((a.shape[0], width, b.shape[1]), dtype=np.uint8)
+    terms[:, :inner] = field._mul[a[:, :, None], b[None, :, :]]
+    while width > 1:
+        width //= 2
+        terms = field._add[terms[:, :width], terms[:, width:]]
+    return terms[:, 0]
 
 
 def _inverse_entries(entries: np.ndarray, field: FieldSpec) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Random model: uniform ordered bases, block trials, analytic bounds.
 
-A trial draws two independent uniform ordered bases, marks the first k
-positions of the first basis, and tests each aligned k-block of the second
-basis for one-way, two-way, and serial exchangeability.  Trials are pure
-functions of their generator, and generators are derived from
-(seed, row, trial) so any execution order reproduces the same numbers.
+A trial models two independent uniform ordered bases B1 and B2, marks the
+first k positions of B1, and tests each aligned k-block of B2 for one-way,
+two-way, and serial exchangeability.  Every test reads only R, the first k
+rows of M = B1^-1 B2, and C, the first k columns of M^-1, so a trial draws
+that pair directly (see sample_reduced) instead of two n x n bases.
+Trials are pure functions of their generator, and generators are derived
+from (seed, row, trial) so any execution order reproduces the same numbers.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exchange import OrderedBasis, SerialCertificate, _reduced_pair, _search_reduced
+from .exchange import OrderedBasis, SerialCertificate, _search_reduced
 from .gf import FieldSpec
-from .matfq import _rank_of, beta, random_full_rank
+from .matfq import _inverse_entries, _matmul, _rank_of, beta, random_full_rank
 
 
 class KTooLarge(ValueError):
@@ -106,6 +108,36 @@ def sample_ordered_basis(rng: np.random.Generator, n: int, field: FieldSpec) -> 
     return OrderedBasis(random_full_rank(rng, n, field), validate=False)
 
 
+def right_inverse(r: np.ndarray, c0: np.ndarray, field: FieldSpec) -> Optional[np.ndarray]:
+    """The map (R, C0) -> C0 (R C0)^-1, or None when R C0 is singular.
+
+    The result C satisfies R C = I.  Each such C is the image of exactly
+    the |GL_k| matrices C A with A in GL_k, so a uniform C0 conditioned on
+    R C0 nonsingular gives a uniform C.
+    """
+    rc0 = _matmul(r, c0, field)
+    if _rank_of(rc0, field) < rc0.shape[0]:
+        return None
+    return _matmul(c0, _inverse_entries(rc0, field), field)
+
+
+def sample_reduced(rng: np.random.Generator, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C) with the joint law of (M[:k, :], M^-1[:, :k]), M uniform on GL_n(q).
+
+    R is uniform over full-rank k x n matrices.  Given R, C is uniform on
+    {C : R C = I}: C0 is redrawn until R C0 is nonsingular, and
+    right_inverse maps the uniform C0 evenly onto that set.
+    """
+    while True:
+        r = rng.integers(0, field.q, size=(k, n), dtype=np.uint8)
+        if _rank_of(r, field) == k:
+            break
+    while True:
+        c = right_inverse(r, rng.integers(0, field.q, size=(n, k), dtype=np.uint8), field)
+        if c is not None:
+            return r, c
+
+
 def run_trial(
     rng: np.random.Generator,
     n: int,
@@ -115,17 +147,18 @@ def run_trial(
     exhaustive: bool = False,
     gate: int = 10**6,
 ) -> TrialOutcome:
-    """One trial: sample a basis pair and score every aligned block.
+    """One trial: sample (R, C) and score every aligned block.
 
-    The serial search for block i is only attempted when both arrows hold
-    there, since a certificate's full prefix is exactly the two-way
-    exchange.  With exhaustive set (and the subset count within gate) the
-    all-subsets search also runs.
+    With M = B1^-1 B2 for the modelled bases, vp = R holds the rows of M
+    at the marked positions u1 and up = C the columns of M^-1 there; the
+    block tests and the serial search index nothing else.  The serial
+    search for block i is only attempted when both arrows hold there,
+    since a certificate's full prefix is exactly the two-way exchange.
+    With exhaustive set (and the subset count within gate) the all-subsets
+    search also runs.
     """
     bp = block_partition(n, k)
-    b1 = sample_ordered_basis(rng, n, field)
-    b2 = sample_ordered_basis(rng, n, field)
-    vp, up = _reduced_pair(b1, b2)
+    vp, up = sample_reduced(rng, n, k, field)
     u1 = tuple(range(k))
     x_bits = []
     y_bits = []

@@ -51,3 +51,54 @@ def ref_is_basis(columns, field: FieldSpec) -> bool:
     n = len(columns)
     rows = [[columns[j][i] for j in range(n)] for i in range(n)]
     return ref_det(rows, field) != 0
+
+
+def ref_matmul(a, b, field: FieldSpec):
+    """Matrix product over verified scalar field ops; a and b are nonempty lists of row lists."""
+    inner = len(b)
+    cols = len(b[0])
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = 0
+            for t in range(inner):
+                acc = field.add_idx(acc, field.mul_idx(row[t], b[t][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def ref_completion(r, c, field: FieldSpec):
+    """An n x n matrix M with M[:k] = r and M^-1[:, :k] = c, given r c = I.
+
+    The rows below r are a basis of the left null space of c, found by
+    scalar Gauss-Jordan elimination of c^T: then M c = [I; 0], so the
+    first k columns of M^-1 are c.
+    """
+    n = len(c)
+    k = len(c[0]) if n else 0
+    work = [[c[i][j] for i in range(n)] for j in range(k)]  # c^T, k x n
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, k) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        scale = field.inv_idx(work[row][col])
+        work[row] = [field.mul_idx(scale, v) for v in work[row]]
+        for i in range(k):
+            f = work[i][col]
+            if i != row and f:
+                work[i] = [field.add_idx(v, field.neg_idx(field.mul_idx(f, w))) for v, w in zip(work[i], work[row])]
+        pivots.append(col)
+        row += 1
+    null_rows = []
+    for free in (j for j in range(n) if j not in pivots):
+        vec = [0] * n
+        vec[free] = 1
+        for i, p in enumerate(pivots):
+            vec[p] = field.neg_idx(work[i][free])
+        null_rows.append(vec)
+    return [list(rr) for rr in r] + null_rows

@@ -20,7 +20,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fqexchange.exchange import ExchangeInstance, arrow, serial_search
+from conftest import ref_completion
+from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_search
 from fqexchange.experiments import (
     ExperimentConfig,
     crosscheck_serial,
@@ -257,18 +258,25 @@ def test_criterion_08_trend(trend_rows):
 
 
 def _recheck_trials(q, k, n, seed, count, row=0):
-    """Replay trials and re-derive every bit through the public operations."""
+    """Replay trials and re-derive every bit through the public operations.
+
+    A trial samples R (the rows u1 of B1^-1 B2) and C (the columns u1 of
+    B2^-1 B1).  The replay takes b1 = I and b2 = M, where M stacks R on a
+    basis of the left null space of C; then B1^-1 B2 = M has rows R and
+    M^-1 has columns C at u1, so every bit of the trial is a property of
+    this basis pair.
+    """
     fld = make_field(q)
     u1 = tuple(range(k))
     blocks = [tuple(range(i * k, (i + 1) * k)) for i in range(n // k)]
-    from fqexchange.randmodel import run_trial
+    from fqexchange.randmodel import run_trial, sample_reduced
 
     for t in range(count):
         out = run_trial(derive_rng(seed, row, t), n, k, fld)
         out.validate()
-        rng = derive_rng(seed, row, t)
-        b1 = sample_ordered_basis(rng, n, fld)
-        b2 = sample_ordered_basis(rng, n, fld)
+        r, c = sample_reduced(derive_rng(seed, row, t), n, k, fld)
+        b1 = OrderedBasis(MatFq.identity(fld, n))
+        b2 = OrderedBasis(MatFq.from_rows(fld, ref_completion(r.tolist(), c.tolist(), fld)))
         for i, block in enumerate(blocks):
             assert out.x_bits[i] == int(arrow(b1, u1, b2, block))
             assert out.y_bits[i] == int(arrow(b2, block, b1, u1))

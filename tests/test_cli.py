@@ -164,3 +164,10 @@ def test_jobs_flag_does_not_change_output(capsys):
     code, out2, _ = run(capsys, *args, "--jobs", "2")
     assert code == 0
     assert out1 == out2
+
+
+def test_trend_rejects_q_above_256(capsys):
+    # GF(257) elements do not fit the uint8 entries; a clean input error
+    code, out, err = run(capsys, "trend", "--q", "257", "--k", "2", "--n", "8", "--trials", "10", "--seed", "1")
+    assert code == 2
+    assert "FieldTooLarge" in err and out == ""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fqexchange.gf import (
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     NotPrimePower,
     SUPPORTED_EXTENSIONS,
     UnsupportedExtension,
@@ -32,6 +33,13 @@ def test_make_field_rejects_composite():
         make_field(12)
     with pytest.raises(NotPrimePower):
         make_field(100)
+
+
+def test_make_field_rejects_q_above_256():
+    # the op tables and matrix entries are uint8; GF(257) would wrap
+    for q in (257, 263, 512, 10**18 + 3):
+        with pytest.raises(FieldTooLarge):
+            make_field(q)
 
 
 def test_make_field_rejects_untabled_extension():

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_det, ref_rank
-from fqexchange.gf import make_field
+from conftest import ref_det, ref_matmul, ref_rank
+from fqexchange.gf import SUPPORTED_EXTENSIONS, make_field
 from fqexchange.matfq import (
     IndexOutOfRange,
     MatFq,
     NotSquare,
     SingularBasis,
+    _matmul,
     alpha,
     beta,
     nonsingular_count,
@@ -75,6 +76,47 @@ def test_rank_random_vs_minor_oracle(data):
     n = data.draw(st.integers(1, 4))
     rows = [[data.draw(st.integers(0, field.q - 1)) for _ in range(n)] for _ in range(m)]
     assert rank(mat(field, rows)) == ref_rank(rows, field)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_rank_large_fields_vs_minor_oracle(data):
+    # the last row is a random combination of the others half the time, so
+    # rank-deficient matrices are drawn even where q is large
+    field = make_field(data.draw(st.sampled_from([251, *SUPPORTED_EXTENSIONS])))
+    m = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(1, 4))
+    elem = st.integers(0, field.q - 1)
+    rows = [[data.draw(elem) for _ in range(n)] for _ in range(m - 1)]
+    if data.draw(st.booleans()):
+        coefs = [data.draw(elem) for _ in rows]
+        last = [0] * n
+        for c, row in zip(coefs, rows):
+            last = [field.add_idx(v, field.mul_idx(c, w)) for v, w in zip(last, row)]
+    else:
+        last = [data.draw(elem) for _ in range(n)]
+    rows.append(last)
+    assert rank(mat(field, rows)) == ref_rank(rows, field)
+
+
+def test_rank_q251_near_wraparound():
+    # det = -1, at the largest prime q that make_field accepts
+    f = make_field(251)
+    rows = [[1, 1, 0, 0], [250, 249, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert rank(mat(f, rows)) == ref_rank(rows, f) == 4
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_matmul_vs_scalar_oracle(data):
+    field = make_field(data.draw(st.sampled_from([2, 3, 5, 251, *SUPPORTED_EXTENSIONS])))
+    m, inner, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4))
+    elem = st.integers(0, field.q - 1)
+    a = [[data.draw(elem) for _ in range(inner)] for _ in range(m)]
+    b = [[data.draw(elem) for _ in range(n)] for _ in range(inner)]
+    got = _matmul(np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8), field)
+    assert got.dtype == np.uint8
+    assert got.tolist() == ref_matmul(a, b, field)
 
 
 def test_rank_input_unmodified():

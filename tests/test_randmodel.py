@@ -1,14 +1,17 @@
 """Random model: block partitions, trials, analytic bound evaluators."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqexchange.exchange import ExchangeInstance, arrow, is_basis, serial_search
+from conftest import ref_completion, ref_matmul
+from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, is_basis, serial_check, serial_search
 from fqexchange.gf import make_field
 from fqexchange.matfq import MatFq, alpha
 from fqexchange.randmodel import (
@@ -18,8 +21,10 @@ from fqexchange.randmodel import (
     block_partition,
     chernoff_tail,
     derive_rng,
+    right_inverse,
     run_trial,
     sample_ordered_basis,
+    sample_reduced,
     theorem_tail,
     zprime_zero_bound,
 )
@@ -74,6 +79,70 @@ def test_sample_ordered_basis_is_basis():
         assert is_basis(b.matrix)
 
 
+def _det_mod(a, q):
+    """Determinants of a stack of square integer matrices mod prime q (Leibniz)."""
+    n = a.shape[-1]
+    total = np.zeros(a.shape[:-2], dtype=np.int64)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = np.ones(a.shape[:-2], dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * a[..., i, j]
+        total += -term if inversions % 2 else term
+    return total % q
+
+
+def _gl_law(q, n, k):
+    """Counts of (M[:k], M^-1[:, :k]) over all of GL_n(q), by mod-q integer arithmetic."""
+    mats = np.array(list(product(range(q), repeat=n * n)), dtype=np.int64).reshape(-1, n, n)
+    det = _det_mod(mats, q)
+    mats, det = mats[det != 0], det[det != 0]
+    det_inv = np.array([0] + [pow(v, -1, q) for v in range(1, q)])[det]
+    # M^-1[i, j] = (-1)^(i+j) det(M without row j and column i) / det M
+    cols = np.empty((len(mats), n, k), dtype=np.int64)
+    for i in range(n):
+        for j in range(k):
+            minor = np.delete(np.delete(mats, j, axis=1), i, axis=2)
+            cof = _det_mod(minor, q) if n > 1 else np.ones(len(mats), dtype=np.int64)
+            cols[:, i, j] = (-1) ** (i + j) * cof * det_inv % q
+    law = Counter(
+        (m[:k].astype(np.uint8).tobytes(), c.astype(np.uint8).tobytes()) for m, c in zip(mats, cols)
+    )
+    return law, len(mats)
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 3, 1), (3, 3, 2)])
+def test_right_inverse_law_matches_gl(q, n, k):
+    # exact: right_inverse over every full-rank R and every C0 gives (R, C)
+    # the law of (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
+    field = make_field(q)
+    gl, gl_size = _gl_law(q, n, k)
+    r_all = sorted({r for r, _ in gl})
+    c0_all = np.array(list(product(range(q), repeat=n * k)), dtype=np.uint8).reshape(-1, n, k)
+    sampled = Counter()
+    accepted = Counter()
+    for rb in r_all:
+        r = np.frombuffer(rb, dtype=np.uint8).reshape(k, n)
+        for c0 in c0_all:
+            c = right_inverse(r, c0, field)
+            if c is not None:
+                sampled[rb, c.tobytes()] += 1
+                accepted[rb] += 1
+    assert set(sampled) == set(gl)
+    for key, count in gl.items():
+        want = Fraction(count, gl_size)
+        assert Fraction(sampled[key], len(r_all) * accepted[key[0]]) == want
+
+
+def test_sample_reduced_shapes_and_identity():
+    for q in (2, 4, 5):
+        field = make_field(q)
+        for t in range(5):
+            r, c = sample_reduced(derive_rng(3, q, t), 7, 3, field)
+            assert r.shape == (3, 7) and c.shape == (7, 3)
+            assert ref_matmul(r.tolist(), c.tolist(), field) == np.eye(3, dtype=int).tolist()
+
+
 def test_derive_rng_reproducible():
     a = derive_rng(9, 3, 14).integers(0, 1000, size=8)
     b = derive_rng(9, 3, 14).integers(0, 1000, size=8)
@@ -113,14 +182,23 @@ def test_run_trial_invariants_hold():
         assert out.Z >= out.X + out.Y - len(out.x_bits)
 
 
+def replay_bases(seed, row, t, n, k, field):
+    """b1 = I and b2 = M for the (R, C) the trial (seed, row, t) samples.
+
+    M stacks R on a basis of the left null space of C, so the rows u1 of
+    B1^-1 B2 are R and the columns u1 of B2^-1 B1 are C: every bit of the
+    trial is a property of this basis pair.
+    """
+    r, c = sample_reduced(derive_rng(seed, row, t), n, k, field)
+    m = ref_completion(r.tolist(), c.tolist(), field)
+    return OrderedBasis(MatFq.identity(field, n)), OrderedBasis(MatFq.from_rows(field, m))
+
+
 def test_run_trial_bits_match_public_operations():
     # the reduced-coordinate fast path must agree with arrow/serial_search
     for t in range(25):
-        rng = derive_rng(15, 0, t)
-        out = run_trial(rng, 8, 2, F3)
-        rng2 = derive_rng(15, 0, t)
-        b1 = sample_ordered_basis(rng2, 8, F3)
-        b2 = sample_ordered_basis(rng2, 8, F3)
+        out = run_trial(derive_rng(15, 0, t), 8, 2, F3)
+        b1, b2 = replay_bases(15, 0, t, 8, 2, F3)
         u1 = (0, 1)
         for i, block in enumerate([(0, 1), (2, 3), (4, 5), (6, 7)]):
             assert out.x_bits[i] == int(arrow(b1, u1, b2, block))
@@ -130,16 +208,11 @@ def test_run_trial_bits_match_public_operations():
 
 
 def test_run_trial_certificate_verifies():
-    from fqexchange.exchange import serial_check
-
     for t in range(40):
-        rng = derive_rng(21, 0, t)
-        out = run_trial(rng, 9, 3, F3)
+        out = run_trial(derive_rng(21, 0, t), 9, 3, F3)
         if out.certificate is None:
             continue
-        rng2 = derive_rng(21, 0, t)
-        b1 = sample_ordered_basis(rng2, 9, F3)
-        b2 = sample_ordered_basis(rng2, 9, F3)
+        b1, b2 = replay_bases(21, 0, t, 9, 3, F3)
         block = tuple(range(out.cert_block * 3, out.cert_block * 3 + 3))
         inst = ExchangeInstance(b1, b2, (0, 1, 2), block)
         assert serial_check(inst, out.certificate)
