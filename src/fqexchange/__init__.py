@@ -7,7 +7,6 @@ from .matfq import (
     beta,
     nonsingular_count,
     random_full_rank,
-    random_matrix,
     rank,
     reduce_against,
     sequential_full_rank,

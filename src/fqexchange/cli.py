@@ -22,21 +22,31 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_n: str | None = None, with_trials: bool = True) -> None:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_common(p: argparse.ArgumentParser, *, with_n: str | None = None, with_trials: bool = True, k_type=_positive_int) -> None:
     p.add_argument("--q", type=int, required=True, help="field size (prime power)")
-    p.add_argument("--k", type=int, required=True, help="exchange set size")
+    p.add_argument("--k", type=k_type, required=True, help="exchange set size")
     if with_n == "repeat":
         p.add_argument("--n", type=int, action="append", required=True, help="rank n (repeatable)")
     elif with_n == "single":
         p.add_argument("--n", type=int, required=True, help="rank n")
     if with_trials:
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
+        p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=None, help="base seed (default printed when unset)")
     p.add_argument("--exhaustive", action="store_true", help="also run the all-subsets search")
     p.add_argument("--gate", type=int, default=10**6, help="max C(n,k) for the all-subsets search")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", default=None, help="write records to this path instead of stdout")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (output unaffected)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (output unaffected)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate alpha or beta by Monte Carlo")
     p_est.add_argument("target", choices=("alpha", "beta"))
-    _add_common(p_est)
+    _add_common(p_est, k_type=int)
 
     p_trend = sub.add_parser("trend", help="serial-partner success rate across n")
     _add_common(p_trend, with_n="repeat")
@@ -56,12 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crosscheck", help="backtracking vs exhaustive enumeration")
     _add_common(p_cross, with_n="single", with_trials=False)
-    p_cross.add_argument("--instances", type=int, default=500, help="random instances to compare")
+    p_cross.add_argument("--instances", type=_positive_int, default=500, help="random instances to compare")
 
     p_exh = sub.add_parser("exhaustive", help="witness existence on small instances")
     p_exh.add_argument("--q", type=int, required=True)
     p_exh.add_argument("--n", type=int, required=True)
-    p_exh.add_argument("--pairs", type=int, default=200, help="sampled basis pairs when not enumerable")
+    p_exh.add_argument("--pairs", type=_positive_int, default=200, help="sampled basis pairs when not enumerable")
     p_exh.add_argument("--seed", type=int, default=None)
     p_exh.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exh.add_argument("--out", default=None)
@@ -172,10 +182,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    seed = args.seed
-    if seed is None:
-        print(f"seed not given; using default seed {DEFAULT_SEED}", file=sys.stderr)
-        seed = DEFAULT_SEED
+    seed = _resolve_seed(args)
     report = experiments.exhaustive_small(args.q, args.n, seed=seed, sample_pairs=args.pairs)
     return _emit(report, args)
 

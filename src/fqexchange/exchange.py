@@ -8,9 +8,13 @@ bookkeeping is needed.
 
 The backtracking searches run in reduced coordinates: row-reducing one
 basis to the identity turns every "is this replacement still a basis"
-question into a small submatrix rank test, which is also how the
-correctness of the reduction is argued (row operations preserve
-independence of column subsets).
+question into whether a small square submatrix is nonsingular, which is
+also how the correctness of the reduction is argued (row operations
+preserve independence of column subsets).  The serial search reads those
+answers from a prefix table: for each pair of swapped sets, whether both
+minors are nonsingular, computed for a whole stack of candidates by one
+matfq._nonsingular call and extended, one stacked call per state, where
+the search goes deeper than the table.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec
-from .matfq import IndexSet, MatFq, _check_index_set, _rank_of, rank, reduce_against
+from .matfq import IndexSet, MatFq, _check_index_set, _nonsingular, _rank_of, rank, reduce_against
 
 
 class DimensionMismatch(ValueError):
@@ -56,11 +60,6 @@ class OrderedBasis:
         if validate and rank(matrix) != matrix.rows:
             raise DimensionMismatch(f"columns have rank below {matrix.rows}")
         self.matrix = matrix
-
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns) -> OrderedBasis:
-        arr = np.array([[int(v) for v in col] for col in columns], dtype=np.uint8).T
-        return cls(MatFq(field, arr))
 
     @property
     def n(self) -> int:
@@ -208,6 +207,88 @@ def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.nd
     return vp, up
 
 
+def _outer_pairs(k: int) -> list[tuple[int, int]]:
+    """The prefix pairs of sizes 1, k - 1 and k, the full exchange last.
+
+    A pair (S, T) holds the swapped positions of both exchange sets as
+    bitmasks over their sorted order.  There are about 2 k^2 of these; for
+    k <= 3 they are every pair, and beyond that the search tests the
+    middle sizes only where it reaches them.
+    """
+    full = (1 << k) - 1
+    rims = sorted({1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)} - {0, full})
+    pairs = [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()]
+    return pairs + [(full, full)]
+
+
+def _prefix_table(a: np.ndarray, b: np.ndarray, field: FieldSpec, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Nonsingularity of the named prefix minors of a stack of candidate blocks.
+
+    a[c] = vp[x1, x2_c] and b[c] = up[x2_c, x1] are (C, k, k) stacks.
+    Entry [0, c, p] tells whether a[c][S, T] is nonsingular and [1, c, p]
+    whether b[c][T, S] is, for (S, T) = pairs[p].  Row and column order
+    inside a minor only flips its sign, so the sets decide every prefix.
+    Each minor is padded with an identity block to the largest size in
+    pairs, by indexing the block embedded in diag(block, I).
+    """
+    k = a.shape[-1]
+    width = max(s.bit_count() for s, _ in pairs)
+    ext = np.broadcast_to(np.eye(k + width, dtype=np.uint8), (2, len(a), k + width, k + width)).copy()
+    ext[0, :, :k, :k], ext[1, :, :k, :k] = a, b
+    rows, cols = (
+        np.array([[i for i in range(k) if m >> i & 1] + list(range(k + m.bit_count(), k + width)) for m in masks])
+        for masks in zip(*pairs)
+    )
+    minors = np.stack([ext[0][:, rows[:, :, None], cols[:, None, :]], ext[1][:, cols[:, :, None], rows[:, None, :]]])
+    return _nonsingular(minors.reshape(-1, width, width), field).reshape(minors.shape[:3])
+
+
+def _certificate(
+    a: np.ndarray, b: np.ndarray, known: dict, ones: tuple[int, ...], twos: tuple[int, ...], field: FieldSpec
+) -> SerialCertificate | None:
+    """The first serial ordering in lexicographic position order, or None.
+
+    a and b are one candidate's blocks as in _prefix_table, and known maps
+    prefix pairs to their validity on both sides; it must hold the
+    _outer_pairs.  A state is the pair of sets swapped so far: the other
+    steps out of a state are tested in one stacked call when the search
+    first stands there, and a state that failed once is not searched again,
+    since whether it completes depends on nothing else.
+    """
+    k = len(ones)
+    full = (1 << k) - 1
+    if not known[full, full]:
+        return None
+    sigma: list[int] = []
+    tau: list[int] = []
+    failed = set()
+
+    def dfs(s: int, t: int) -> bool:
+        if s == full:
+            return True
+        if (s, t) in failed:
+            return False
+        steps = [(i, j) for i in range(k) if not s >> i & 1 for j in range(k) if not t >> j & 1]
+        kids = [(s | 1 << i, t | 1 << j) for i, j in steps]
+        todo = [kid for kid in kids if kid not in known]
+        if todo:
+            known.update(zip(todo, _prefix_table(a[None], b[None], field, todo).all(axis=0)[0]))
+        for (i, j), kid in zip(steps, kids):
+            if known[kid]:
+                sigma.append(ones[i])
+                tau.append(twos[j])
+                if dfs(*kid):
+                    return True
+                sigma.pop()
+                tau.pop()
+        failed.add((s, t))
+        return False
+
+    if dfs(0, 0):
+        return SerialCertificate(tuple(sigma), tuple(tau))
+    return None
+
+
 def _search_reduced(
     vp: np.ndarray,
     up: np.ndarray,
@@ -222,47 +303,13 @@ def _search_reduced(
     Pairs are tried in lexicographic position order, so the first
     certificate found is deterministic.
     """
-    k = len(x1)
-    if k == 0:
+    if not x1:
         return SerialCertificate((), ())
-    # no certificate can exist unless the full two-way exchange holds
-    if _rank_of(vp[np.ix_(x1, x2)], field) != k or _rank_of(up[np.ix_(x2, x1)], field) != k:
-        return None
-    ones = sorted(x1)
-    twos = sorted(x2)
-    used1 = [False] * k
-    used2 = [False] * k
-    sigma: list[int] = []
-    tau: list[int] = []
-
-    def prefix_ok() -> bool:
-        i = len(sigma)
-        if _rank_of(vp[np.ix_(sigma, tau)], field) != i:
-            return False
-        return _rank_of(up[np.ix_(tau, sigma)], field) == i
-
-    def dfs() -> bool:
-        if len(sigma) == k:
-            return True
-        for i1 in range(k):
-            if used1[i1]:
-                continue
-            for i2 in range(k):
-                if used2[i2]:
-                    continue
-                sigma.append(ones[i1])
-                tau.append(twos[i2])
-                used1[i1] = used2[i2] = True
-                if prefix_ok() and dfs():
-                    return True
-                used1[i1] = used2[i2] = False
-                sigma.pop()
-                tau.pop()
-        return False
-
-    if dfs():
-        return SerialCertificate(tuple(sigma), tuple(tau))
-    return None
+    ones, twos = tuple(sorted(x1)), tuple(sorted(x2))
+    a, b = vp[np.ix_(ones, twos)], up[np.ix_(twos, ones)]
+    pairs = _outer_pairs(len(ones))
+    ok = _prefix_table(a[None], b[None], field, pairs).all(axis=0)[0]
+    return _certificate(a, b, dict(zip(pairs, ok)), ones, twos, field)
 
 
 def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:

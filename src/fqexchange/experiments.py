@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import IO, Optional
@@ -36,7 +37,7 @@ from .exchange import (
     symmetric_partners,
 )
 from .gf import make_field
-from .matfq import MatFq, alpha, beta, nonsingular_count, rank, sequential_full_rank
+from .matfq import MatFq, _nonsingular, _sequential, alpha, beta, nonsingular_count
 from .randmodel import derive_rng, run_trial, sample_ordered_basis, theorem_tail, zprime_zero_bound
 
 _CHUNK = 512
@@ -139,9 +140,10 @@ def _estimate(successes: int, trials: int, name: str, seed: int, runtime: float)
 
 
 def _map_chunks(worker, args_list, jobs: int):
-    if jobs <= 1 or len(args_list) <= 1:
+    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, args_list))
 
 
@@ -158,14 +160,8 @@ def _estimate_chunk(args) -> int:
     kind, q, k, seed, lo, hi = args
     fld = make_field(q)
     draws = derive_rng(seed, 0, lo).integers(0, q, size=(hi - lo, k, k), dtype=np.uint8)
-    succ = 0
-    for ent in draws:
-        m = MatFq(fld, ent)
-        if kind == "alpha":
-            succ += int(rank(m) == k)
-        else:
-            succ += int(sequential_full_rank(m))
-    return succ
+    test = _nonsingular if kind == "alpha" else _sequential
+    return int(test(draws, fld).sum())
 
 
 def _run_estimate(config: ExperimentConfig, kind: str, jobs: int) -> EstimateResult:
@@ -232,19 +228,7 @@ def _run_trials(config: ExperimentConfig, n: int, row: int, jobs: int) -> _Trial
         for lo, hi in _chunk_ranges(config.trials)
     ]
     parts = _map_chunks(_trial_chunk, args, jobs)
-    total = parts[0]
-    for p in parts[1:]:
-        total = _TrialTotals(
-            total.trials + p.trials,
-            total.x_succ + p.x_succ,
-            total.y_succ + p.y_succ,
-            total.block_hits + p.block_hits,
-            total.subset_hits + p.subset_hits,
-            total.subset_ran + p.subset_ran,
-            total.z_hist + p.z_hist,
-            total.zprime_zero_by_z + p.zprime_zero_by_z,
-        )
-    return total
+    return _TrialTotals(*(sum(getattr(p, f.name) for p in parts) for f in fields(_TrialTotals)))
 
 
 def trend(
@@ -516,12 +500,8 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
 
 def _all_bases(q: int, n: int) -> list[OrderedBasis]:
     fld = make_field(q)
-    out = []
-    for entries in product(range(q), repeat=n * n):
-        m = MatFq(fld, np.array(entries, dtype=np.uint8).reshape(n, n))
-        if rank(m) == n:
-            out.append(OrderedBasis(m, validate=False))
-    return out
+    every = np.array(list(product(range(q), repeat=n * n)), dtype=np.uint8).reshape(-1, n, n)
+    return [OrderedBasis(MatFq(fld, m), validate=False) for m in every[_nonsingular(every, fld)]]
 
 
 def exhaustive_small(

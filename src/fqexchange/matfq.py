@@ -9,6 +9,7 @@ operation returns a fresh matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -106,20 +107,18 @@ def _check_index_set(idx: IndexSet, bound: int, what: str) -> tuple[int, ...]:
     return out
 
 
-def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_col: int | None = None) -> tuple[int, list[int]]:
-    """In-place row reduction of a writable index array.
+def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_col: int | None = None) -> int:
+    """In-place row reduction of one writable index array; returns the rank.
 
     Pivots on the first nonzero entry of each column (deterministic).
     Columns at and beyond stop_col are carried along without being
-    pivoted, which is how augmented systems are solved.  Returns the rank
-    and the pivot column list.
+    pivoted, which is how augmented systems are solved.
     """
     rows, cols = a.shape
     limit = cols if stop_col is None else stop_col
     add_t, mul_t = field._add, field._mul
     neg_t, inv_t = field._neg, field._inv
     r = 0
-    pivots: list[int] = []
     for c in range(limit):
         if r == rows:
             break
@@ -140,50 +139,36 @@ def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_c
         if sel.size:
             factors = a[sel, c]
             a[sel] = add_t[a[sel], mul_t[neg_t[factors][:, None], a[r][None, :]]]
-        pivots.append(c)
         r += 1
-    return r, pivots
+    return r
 
 
-def _det2(e, field: FieldSpec) -> int:
-    a, b = int(e[0, 0]), int(e[0, 1])
-    c, d = int(e[1, 0]), int(e[1, 1])
-    return field.add_idx(field.mul_idx(a, d), field.neg_idx(field.mul_idx(b, c)))
+def _nonsingular(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which matrices of a (B, k, k) stack are nonsingular, as a bool array.
 
-
-def _det3(e, field: FieldSpec) -> int:
-    out = 0
-    for j, sign in ((0, False), (1, True), (2, False)):
-        a = int(e[0, j])
-        if not a:
-            continue
-        cols = [c for c in (0, 1, 2) if c != j]
-        minor = field.add_idx(
-            field.mul_idx(int(e[1, cols[0]]), int(e[2, cols[1]])),
-            field.neg_idx(field.mul_idx(int(e[1, cols[1]]), int(e[2, cols[0]]))),
-        )
-        term = field.mul_idx(a, minor)
-        if sign:
-            term = field.neg_idx(term)
-        out = field.add_idx(out, term)
-    return out
+    Elimination on the whole stack at once.  In each column every matrix
+    pivots on its own first row that is nonzero there, and that row is
+    eliminated from all rows, itself included: used rows turn to zero and
+    are never chosen again.  A matrix with no pivot in some column is
+    singular.
+    """
+    a = np.asarray(stack, dtype=np.uint8)
+    ok = np.ones(a.shape[0], dtype=bool)
+    every = np.arange(a.shape[0])
+    add_t, mul_t = field._add, field._mul
+    neg_t, inv_t = field._neg, field._inv
+    for _ in range(a.shape[-1]):
+        piv = a[every, (a[:, :, 0] != 0).argmax(axis=1)]
+        ok &= piv[:, 0] != 0
+        if a.shape[-1] == 1:  # the last column: nothing left to eliminate
+            break
+        factors = mul_t[neg_t[a[:, :, 0]], inv_t[piv[:, 0]][:, None]]
+        a = add_t[a[:, :, 1:], mul_t[factors[:, :, None], piv[:, None, 1:]]]
+    return ok
 
 
 def _rank_of(entries: np.ndarray, field: FieldSpec) -> int:
-    # scalar determinants beat the vectorized kernel on tiny matrices,
-    # which dominate the Monte Carlo inner loops
-    shape = entries.shape
-    if shape == (1, 1):
-        return int(int(entries[0, 0]) != 0)
-    if shape == (2, 2):
-        if _det2(entries, field):
-            return 2
-        return int(bool(entries.any()))
-    if shape == (3, 3) and _det3(entries, field):
-        return 3
-    work = entries.copy()
-    r, _ = _eliminate(work, field)
-    return r
+    return _eliminate(entries.copy(), field)
 
 
 def rank(m: MatFq) -> int:
@@ -199,45 +184,36 @@ def submatrix(a: MatFq, row_idx: IndexSet, col_idx: IndexSet) -> MatFq:
     return MatFq(a.field, picked)
 
 
-def sequential_full_rank(a: MatFq) -> bool:
-    """True iff every leading principal submatrix is nonsingular.
+@lru_cache(maxsize=None)
+def _leading_mask(k: int) -> np.ndarray:
+    """(k, k, k) mask whose slice i keeps the rows and columns 0..i."""
+    inside = np.arange(k)[None, :] <= np.arange(k)[:, None]
+    mask = inside[:, :, None] & inside[:, None, :]
+    mask.setflags(write=False)  # shared by every caller through the cache
+    return mask
 
-    Runs elimination without row swaps: the i-th leading minor is the
-    product of the first i pivots, so a zero pivot is exactly a singular
-    leading block.
+
+def _sequential(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which matrices of a (B, k, k) stack have every leading block nonsingular.
+
+    Leading block i is tested as diag(A[:i, :i], I), so all B k tests are
+    one stacked call, split only where the padded blocks would pass 4 MB.
     """
+    b, k = stack.shape[0], stack.shape[-1]
+    group = max(1, 2**22 // (k**3 + 1))
+    ok = np.empty(b, dtype=bool)
+    for lo in range(0, b, group):
+        part = stack[lo : lo + group]
+        blocks = np.where(_leading_mask(k), part[:, None], np.eye(k, dtype=np.uint8))
+        ok[lo : lo + len(part)] = _nonsingular(blocks.reshape(len(part) * k, k, k), field).reshape(len(part), k).all(axis=1)
+    return ok
+
+
+def sequential_full_rank(a: MatFq) -> bool:
+    """True iff every leading principal submatrix is nonsingular."""
     if a.rows != a.cols:
         raise NotSquare(f"sequential full rank needs a square matrix, got {a.rows}x{a.cols}")
-    k = a.rows
-    if k == 0:
-        return True
-    ent = a.entries
-    if k <= 3:
-        if not int(ent[0, 0]):
-            return False
-        if k == 1:
-            return True
-        if not _det2(ent[:2, :2], a.field):
-            return False
-        return k == 2 or bool(_det3(ent, a.field))
-    work = a.entries.copy()
-    field = a.field
-    add_t, mul_t = field._add, field._mul
-    neg_t, inv_t = field._neg, field._inv
-    for i in range(k):
-        piv = int(work[i, i])
-        if piv == 0:
-            return False
-        if piv != 1:
-            work[i, i:] = mul_t[inv_t[piv], work[i, i:]]
-        sel = i + 1 + np.flatnonzero(work[i + 1:, i])
-        if sel.size:
-            factors = work[sel, i]
-            work[np.ix_(sel, range(i, k))] = add_t[
-                work[np.ix_(sel, range(i, k))],
-                mul_t[neg_t[factors][:, None], work[i, i:][None, :]],
-            ]
-    return True
+    return bool(_sequential(a.entries[None], a.field)[0])
 
 
 def nonsingular_count(k: int, q: int) -> int:
@@ -265,14 +241,6 @@ def beta(k: int, q: int) -> Fraction:
     if k < 0 or q < 2:
         raise ValueError("need k >= 0 and q >= 2")
     return (1 - Fraction(1, q)) ** k
-
-
-def random_matrix(rng: np.random.Generator, m: int, n: int, field: FieldSpec) -> MatFq:
-    """m x n matrix with i.i.d. uniform entries, deterministic in rng."""
-    if m < 0 or n < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    ent = rng.integers(0, field.q, size=(m, n), dtype=np.uint8)
-    return MatFq(field, ent)
 
 
 def random_full_rank(rng: np.random.Generator, n: int, field: FieldSpec) -> MatFq:
@@ -306,7 +274,7 @@ def reduce_against(v: MatFq, u: MatFq) -> MatFq:
         raise ValueError("blocks live over different fields")
     n = v.rows
     aug = np.hstack([v.entries, u.entries]).copy()
-    r, _ = _eliminate(aug, v.field, reduced=True, stop_col=n)
+    r = _eliminate(aug, v.field, reduced=True, stop_col=n)
     if r < n:
         raise SingularBasis(f"left block has rank {r} < {n}")
     return MatFq(v.field, aug[:, n:])
@@ -327,15 +295,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
         width //= 2
         terms = field._add[terms[:, :width], terms[:, width:]]
     return terms[:, 0]
-
-
-def _inverse_entries(entries: np.ndarray, field: FieldSpec) -> np.ndarray:
-    n = entries.shape[0]
-    aug = np.hstack([entries, np.eye(n, dtype=np.uint8)]).copy()
-    r, _ = _eliminate(aug, field, reduced=True, stop_col=n)
-    if r < n:
-        raise SingularBasis(f"matrix has rank {r} < {n}")
-    return aug[:, n:]
 
 
 # --- text format: first line "q m n", then m rows of element indices ---

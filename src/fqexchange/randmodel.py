@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exchange import OrderedBasis, SerialCertificate, _search_reduced
+from .exchange import OrderedBasis, SerialCertificate, _certificate, _outer_pairs, _prefix_table, _search_reduced
 from .gf import FieldSpec
-from .matfq import _inverse_entries, _matmul, _rank_of, beta, random_full_rank
+from .matfq import _eliminate, _matmul, _rank_of, beta, random_full_rank
 
 
 class KTooLarge(ValueError):
@@ -113,12 +113,14 @@ def right_inverse(r: np.ndarray, c0: np.ndarray, field: FieldSpec) -> Optional[n
 
     The result C satisfies R C = I.  Each such C is the image of exactly
     the |GL_k| matrices C A with A in GL_k, so a uniform C0 conditioned on
-    R C0 nonsingular gives a uniform C.
+    R C0 nonsingular gives a uniform C.  Reducing [(R C0)^T | C0^T] until
+    its left block is the identity leaves C^T on the right.
     """
-    rc0 = _matmul(r, c0, field)
-    if _rank_of(rc0, field) < rc0.shape[0]:
+    k = r.shape[0]
+    aug = np.hstack([_matmul(r, c0, field).T, c0.T])
+    if _eliminate(aug, field, reduced=True, stop_col=k) < k:
         return None
-    return _matmul(c0, _inverse_entries(rc0, field), field)
+    return aug[:, k:].T
 
 
 def sample_reduced(rng: np.random.Generator, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -151,37 +153,37 @@ def run_trial(
 
     With M = B1^-1 B2 for the modelled bases, vp = R holds the rows of M
     at the marked positions u1 and up = C the columns of M^-1 there; the
-    block tests and the serial search index nothing else.  The serial
-    search for block i is only attempted when both arrows hold there,
-    since a certificate's full prefix is exactly the two-way exchange.
-    With exhaustive set (and the subset count within gate) the all-subsets
-    search also runs.
+    block tests and the serial search index nothing else.  One prefix
+    table covers every block: its full-size entries are the y and x bits,
+    and the serial search for a block where both hold starts from its
+    row.  With exhaustive set (and the subset count within gate) the
+    all-subsets search also runs.
     """
     bp = block_partition(n, k)
     vp, up = sample_reduced(rng, n, k, field)
     u1 = tuple(range(k))
-    x_bits = []
-    y_bits = []
-    z_bits = []
-    zprime_bits = []
+    width = bp.ell * k
+    # block i is vp[:, block] on the one side and up[block, :] on the other
+    a = vp[:, :width].reshape(k, bp.ell, k).transpose(1, 0, 2)
+    b = up[:width].reshape(bp.ell, k, k)
+    pairs = _outer_pairs(k)
+    table = _prefix_table(a, b, field, pairs)
+    y_bits = [int(v) for v in table[0, :, -1]]
+    x_bits = [int(v) for v in table[1, :, -1]]
+    z_bits = [x & y for x, y in zip(x_bits, y_bits)]
+    zprime_bits = [0] * bp.ell
     certificate = None
     cert_block = None
+    both = table.all(axis=0)
     for i, block in enumerate(bp.blocks):
-        x = int(_rank_of(up[np.ix_(block, u1)], field) == k)
-        y = int(_rank_of(vp[np.ix_(u1, block)], field) == k)
-        z = x & y
-        zp = 0
-        if z:
-            cert = _search_reduced(vp, up, u1, block, field)
-            if cert is not None:
-                zp = 1
-                if certificate is None:
-                    certificate = cert
-                    cert_block = i
-        x_bits.append(x)
-        y_bits.append(y)
-        z_bits.append(z)
-        zprime_bits.append(zp)
+        if not z_bits[i]:
+            continue
+        cert = _certificate(a[i], b[i], dict(zip(pairs, both[i])), u1, block, field)
+        if cert is not None:
+            zprime_bits[i] = 1
+            if certificate is None:
+                certificate = cert
+                cert_block = i
     subset_success = None
     if exhaustive and comb(n, k) <= gate:
         found = None

@@ -102,3 +102,42 @@ def ref_completion(r, c, field: FieldSpec):
             vec[p] = field.neg_idx(work[i][free])
         null_rows.append(vec)
     return [list(rr) for rr in r] + null_rows
+
+
+def ref_search_reduced(vp, up, x1, x2, field: FieldSpec):
+    """First serial ordering pair (sigma, tau) in lexicographic position order, or None.
+
+    The backtracking search over orderings in reduced coordinates: a
+    prefix is valid iff the minors vp[sigma, tau] and up[tau, sigma] have
+    nonzero ref_det.  vp and up are lists of row lists.
+    """
+    k = len(x1)
+
+    def valid(rows, cols):
+        return ref_det([[vp[i][j] for j in cols] for i in rows], field) != 0 and ref_det(
+            [[up[j][i] for i in rows] for j in cols], field
+        ) != 0
+
+    if not valid(x1, x2):
+        return None
+    ones, twos = sorted(x1), sorted(x2)
+    sigma, tau = [], []
+
+    def dfs():
+        if len(sigma) == k:
+            return True
+        for i in ones:
+            if i in sigma:
+                continue
+            for j in twos:
+                if j in tau:
+                    continue
+                sigma.append(i)
+                tau.append(j)
+                if valid(sigma, tau) and dfs():
+                    return True
+                sigma.pop()
+                tau.pop()
+        return False
+
+    return (tuple(sigma), tuple(tau)) if dfs() else None

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fqexchange.cli import main
 
 
@@ -171,3 +173,41 @@ def test_trend_rejects_q_above_256(capsys):
     code, out, err = run(capsys, "trend", "--q", "257", "--k", "2", "--n", "8", "--trials", "10", "--seed", "1")
     assert code == 2
     assert "FieldTooLarge" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "0"],
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "-3"],
+        ["exhaustive", "--q", "3", "--n", "3", "--pairs", "0"],
+        ["trend", "--q", "3", "--k", "0", "--n", "8"],
+        ["verify", "conditional", "--q", "3", "--k", "0", "--n", "8"],
+        ["verify", "zprime", "--q", "3", "--k", "-1", "--n", "8"],
+        ["crosscheck", "--q", "3", "--k", "0", "--n", "6"],
+        ["estimate", "alpha", "--q", "3", "--k", "-1"],
+        ["estimate", "beta", "--q", "3", "--k", "2", "--trials", "0"],
+        ["trend", "--q", "3", "--k", "2", "--n", "8", "--trials", "-5"],
+        ["trend", "--q", "3", "--k", "2", "--n", "8", "--jobs", "-7"],
+        ["verify", "zprime", "--q", "3", "--k", "2", "--n", "8", "--jobs", "0"],
+        ["trend", "--q", "3", "--k", "two", "--n", "8"],
+    ],
+)
+def test_out_of_range_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_accepts_k0(capsys):
+    code, out, err = run(capsys, "estimate", "alpha", "--q", "3", "--k", "0", "--trials", "10", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("alpha,3,0,n/a,10,10,1.0,")
+
+
+def test_exhaustive_default_seed_announced(capsys):
+    code, out, err = run(capsys, "exhaustive", "--q", "2", "--n", "2")
+    assert code == 0
+    assert "default seed 1729" in err

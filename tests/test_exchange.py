@@ -1,19 +1,20 @@
 """Exchange relations: arrows, set exchange, serial search and its oracles."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_is_basis
+from conftest import ref_is_basis, ref_search_reduced
 from fqexchange.exchange import (
     DimensionMismatch,
     ExchangeInstance,
     OrderedBasis,
     SerialCertificate,
     SizeMismatch,
+    _search_reduced,
     arrow,
     find_serial_partner,
     greedy_prefix_order,
@@ -24,7 +25,7 @@ from fqexchange.exchange import (
     symmetric_partners,
 )
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, rank
+from fqexchange.matfq import MatFq, rank, reduce_against
 from fqexchange.randmodel import derive_rng, sample_ordered_basis
 
 F2 = make_field(2)
@@ -416,6 +417,56 @@ def test_find_serial_partner_certificates_verify():
         if found is not None:
             partner, cert = found
             assert serial_check(ExchangeInstance(b1, b2, x1, partner), cert)
+
+
+def _reduced_lists(b1, b2):
+    vp = reduce_against(b1.matrix, b2.matrix).entries.tolist()
+    up = reduce_against(b2.matrix, b1.matrix).entries.tolist()
+    return vp, up
+
+
+def _cert_pair(cert):
+    return None if cert is None else (cert.sigma, cert.tau)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_serial_search_certificates_match_reference_dfs(q, k):
+    field = make_field(q)
+    found = 0
+    for t in range(25):
+        inst = random_instance(67 + q, t, k + 2, k, field)
+        vp, up = _reduced_lists(inst.b1, inst.b2)
+        want = ref_search_reduced(vp, up, inst.x1, inst.x2, field)
+        assert _cert_pair(serial_search(inst)) == want
+        # the search orders each set itself, whatever order it is given in
+        got = _search_reduced(np.array(vp, dtype=np.uint8), np.array(up, dtype=np.uint8), inst.x1[::-1], inst.x2, field)
+        assert _cert_pair(got) == want
+        found += want is not None
+    assert found > 0
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 6, 2), (3, 6, 3), (3, 8, 4), (4, 5, 2)])
+def test_find_serial_partner_matches_reference_dfs(q, n, k):
+    field = make_field(q)
+    for t in range(8):
+        rng = derive_rng(71, q, t)
+        b1 = sample_ordered_basis(rng, n, field)
+        b2 = sample_ordered_basis(rng, n, field)
+        x1 = tuple(sorted(int(v) for v in rng.choice(n, k, replace=False)))
+        vp, up = _reduced_lists(b1, b2)
+        for mode, cands in (
+            ("blocks", [tuple(range(i * k, (i + 1) * k)) for i in range(n // k)]),
+            ("all_subsets", list(combinations(range(n), k))),
+        ):
+            want = None
+            for cand in cands:
+                cert = ref_search_reduced(vp, up, x1, cand, field)
+                if cert is not None:
+                    want = (cand, cert)
+                    break
+            got = find_serial_partner(b1, x1, b2, mode=mode)
+            assert (None if got is None else (got[0], _cert_pair(got[1]))) == want
 
 
 # --- certificate text format ---

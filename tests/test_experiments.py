@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqexchange import experiments
 from fqexchange.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -113,6 +114,33 @@ def test_estimate_deterministic_and_jobs_invariant():
 
 
 # --- trend ---
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, chunks, cpus, want", [(64, 3, 2, 2), (64, 3, 8, 3), (2, 5, 8, 2), (1, 5, 8, None), (64, 1, 8, None)])
+def test_map_chunks_clamps_workers(monkeypatch, jobs, chunks, cpus, want):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    _RecordingPool.seen = []
+    assert experiments._map_chunks(abs, list(range(-chunks, 0)), jobs) == list(range(chunks, 0, -1))
+    assert _RecordingPool.seen == ([] if want is None else [want])
 
 
 def test_trend_single_n_single_trial():

@@ -16,11 +16,12 @@ from fqexchange.matfq import (
     NotSquare,
     SingularBasis,
     _matmul,
+    _nonsingular,
+    _sequential,
     alpha,
     beta,
     nonsingular_count,
     random_full_rank,
-    random_matrix,
     rank,
     read_matrix_text,
     reduce_against,
@@ -173,6 +174,54 @@ def test_submatrix_rank_bounded(data):
     assert rank(submatrix(a, s, t)) <= min(len(s), len(t))
 
 
+# --- stacked nonsingularity ---
+
+
+def _mixed_rank_stack(rng, field, k, count):
+    """count k x k matrices; every third has its last row a combination of the others."""
+    stack = rng.integers(0, field.q, size=(count, k, k), dtype=np.uint8)
+    for m in stack[::3]:
+        if k == 0:
+            continue
+        row = [0] * k
+        for src in m[:-1]:
+            c = int(rng.integers(0, field.q))
+            row = [field.add_idx(v, field.mul_idx(c, int(w))) for v, w in zip(row, src)]
+        m[-1] = row
+    return stack
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 251, *SUPPORTED_EXTENSIONS])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_nonsingular_vs_ref_det_mixed_ranks(q, k):
+    field = make_field(q)
+    stack = _mixed_rank_stack(np.random.default_rng(q * 10 + k), field, k, 30)
+    want = [ref_det(m.tolist(), field) != 0 for m in stack]
+    got = _nonsingular(stack, field)
+    assert got.dtype == bool and got.tolist() == want
+    if k:
+        assert not any(want[::3])
+    assert _nonsingular(stack[:0], field).shape == (0,)
+
+
+def test_sequential_stack_across_groups():
+    # at k = 24 the padded leading blocks are tested in groups of 303
+    # matrices; A = L U with L unit lower triangular has the leading minors
+    # of U, so A is sequential iff the diagonal of U has no zero
+    rng = np.random.default_rng(5)
+    k = 24
+    want = []
+    stack = np.empty((400, k, k), dtype=np.uint8)
+    for m in range(400):
+        lower = np.tril(rng.integers(0, 3, size=(k, k), dtype=np.uint8), -1) + np.eye(k, dtype=np.uint8)
+        diag = rng.integers(1, 3, size=k, dtype=np.uint8) * (rng.random(k) > 0.01)
+        upper = np.triu(rng.integers(0, 3, size=(k, k), dtype=np.uint8), 1) + np.diag(diag).astype(np.uint8)
+        stack[m] = _matmul(lower, upper, F3)
+        want.append(bool(diag.all()))
+    assert _sequential(stack, F3).tolist() == want
+    assert 0 < sum(want) < 400
+
+
 # --- sequential full rank ---
 
 
@@ -272,24 +321,6 @@ def test_alpha_equals_count_ratio(q, k):
 # --- random generation ---
 
 
-def test_random_matrix_deterministic():
-    a = random_matrix(np.random.default_rng(42), 3, 4, F3)
-    b = random_matrix(np.random.default_rng(42), 3, 4, F3)
-    assert a == b
-
-
-def test_random_matrix_empty():
-    assert random_matrix(np.random.default_rng(0), 0, 3, F3).shape == (0, 3)
-    assert random_matrix(np.random.default_rng(0), 2, 0, F3).shape == (2, 0)
-
-
-def test_random_matrix_nonsingular_fraction():
-    rng = np.random.default_rng(7)
-    trials = 20_000
-    hits = sum(rank(random_matrix(rng, 2, 2, F3)) == 2 for _ in range(trials))
-    assert abs(hits / trials - 16 / 27) < 0.02
-
-
 def test_random_full_rank_n1_f2():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -339,7 +370,7 @@ def test_reduce_against_singular():
 def test_reduce_against_inverse_property():
     rng = np.random.default_rng(23)
     v = random_full_rank(rng, 4, F3)
-    u = random_matrix(rng, 4, 3, F3)
+    u = MatFq(F3, rng.integers(0, 3, size=(4, 3), dtype=np.uint8))
     up = reduce_against(v, u)
     # multiplying back: v @ up == u, checked entry-wise with scalar ops
     for i in range(4):
@@ -354,7 +385,7 @@ def test_reduce_against_preserves_independence():
     # every 4-subset of the 8 concatenated columns keeps its status
     rng = np.random.default_rng(29)
     v = random_full_rank(rng, 4, F3)
-    u = random_matrix(rng, 4, 4, F3)
+    u = MatFq(F3, rng.integers(0, 3, size=(4, 4), dtype=np.uint8))
     up = reduce_against(v, u)
     before = np.hstack([v.entries, u.entries]).astype(int)
     after = np.hstack([np.eye(4, dtype=int), up.entries.astype(int)])

@@ -3,14 +3,14 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_completion, ref_matmul
+from conftest import ref_completion, ref_det, ref_matmul, ref_search_reduced
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, is_basis, serial_check, serial_search
 from fqexchange.gf import make_field
 from fqexchange.matfq import MatFq, alpha
@@ -226,6 +226,30 @@ def test_run_trial_exhaustive_subset_flag():
     out2 = run_trial(derive_rng(23, 0, 1), 6, 2, F3, exhaustive=True, gate=3)
     assert out2.subset_success is None
     assert out2.x_bits == out.x_bits
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 6, 2), (3, 8, 2), (3, 9, 3), (4, 7, 3), (3, 8, 4), (5, 5, 1)])
+def test_run_trial_matches_reference_dfs(q, n, k):
+    # replay (R, C) from the trial's stream and score it with ref_det minors
+    field = make_field(q)
+    u1 = tuple(range(k))
+    for t in range(10):
+        out = run_trial(derive_rng(29, q, t), n, k, field, exhaustive=True)
+        r, c = sample_reduced(derive_rng(29, q, t), n, k, field)
+        vp, up = r.tolist(), c.tolist()
+        first = None
+        for i, block in enumerate(block_partition(n, k).blocks):
+            y = ref_det([[vp[a][b] for b in block] for a in u1], field) != 0
+            x = ref_det([[up[b][a] for a in u1] for b in block], field) != 0
+            assert (out.x_bits[i], out.y_bits[i]) == (int(x), int(y))
+            cert = ref_search_reduced(vp, up, u1, block, field)
+            assert out.zprime_bits[i] == int(cert is not None)
+            if first is None and cert is not None:
+                first = (i, cert)
+        got = None if out.certificate is None else (out.cert_block, (out.certificate.sigma, out.certificate.tau))
+        assert got == first
+        subset = any(ref_search_reduced(vp, up, u1, cand, field) for cand in combinations(range(n), k))
+        assert out.subset_success == subset
 
 
 # --- analytic evaluators ---
