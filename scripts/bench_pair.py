@@ -3,8 +3,8 @@
 
 Extracts the base revision with ``git archive`` into a temporary
 directory, then runs ``perfbench/run.py`` alternately in that copy and in
-the working tree, ``--runs`` times per side and workload, with the
-measuring time ``run_seconds`` from ``BENCHMARK.json``.  Which side runs
+the working tree, ten pairs for every workload of ``BENCHMARK.json``,
+with the measuring time ``run_seconds`` from there.  Which side runs
 first alternates from pair to pair, so a drifting host loads both alike.
 Writes every run's result and ``meta`` lines, the ``src/`` line counts of
 both sides and a per-workload summary to ``--out``.  From the repository
@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def src_lines(root: Path) -> int:
@@ -82,13 +83,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--runs", type=int, default=10, help="runs per side and workload")
     ap.add_argument("--seed", type=int, default=7, help="workload seed")
-    ap.add_argument("--workload", action="append", default=None, help="default: every BENCHMARK.json workload")
     args = ap.parse_args(argv)
-    if args.runs < 2:
-        ap.error("--runs must be at least 2")
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,7 +94,7 @@ def main(argv=None) -> int:
         sides = {"base": base_root, "change": ROOT}
         runs = []
         for workload in workloads:
-            for pair in range(args.runs):
+            for pair in range(PAIRS):
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
                     run = one_run(sides[side], workload, args.seed, seconds)

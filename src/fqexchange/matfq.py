@@ -9,7 +9,6 @@ operation returns a fresh matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -143,28 +142,35 @@ def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_c
     return r
 
 
-def _nonsingular(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Which matrices of a (B, k, k) stack are nonsingular, as a bool array.
+def _pivot_rows(stack: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Elimination on a whole (B, k, k) stack at once.
 
-    Elimination on the whole stack at once.  In each column every matrix
-    pivots on its own first row that is nonzero there, and that row is
-    eliminated from all rows, itself included: used rows turn to zero and
-    are never chosen again.  A matrix with no pivot in some column is
-    singular.
+    In each column every matrix pivots on its own first row that is nonzero
+    there, and that row is eliminated from all rows, itself included: used
+    rows turn to zero and are never chosen again.  Returns which matrices
+    are nonsingular (a matrix with no pivot in some column is not) and the
+    (B, k) pivot row of every column.
     """
     a = np.asarray(stack, dtype=np.uint8)
     ok = np.ones(a.shape[0], dtype=bool)
+    rows = np.zeros(a.shape[:2], dtype=np.intp)
     every = np.arange(a.shape[0])
     add_t, mul_t = field._add, field._mul
     neg_t, inv_t = field._neg, field._inv
-    for _ in range(a.shape[-1]):
-        piv = a[every, (a[:, :, 0] != 0).argmax(axis=1)]
+    for c in range(a.shape[-1]):
+        rows[:, c] = (a[:, :, 0] != 0).argmax(axis=1)
+        piv = a[every, rows[:, c]]
         ok &= piv[:, 0] != 0
         if a.shape[-1] == 1:  # the last column: nothing left to eliminate
             break
         factors = mul_t[neg_t[a[:, :, 0]], inv_t[piv[:, 0]][:, None]]
         a = add_t[a[:, :, 1:], mul_t[factors[:, :, None], piv[:, None, 1:]]]
-    return ok
+    return ok, rows
+
+
+def _nonsingular(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which matrices of a (B, k, k) stack are nonsingular, as a bool array."""
+    return _pivot_rows(stack, field)[0]
 
 
 def _rank_of(entries: np.ndarray, field: FieldSpec) -> int:
@@ -184,29 +190,16 @@ def submatrix(a: MatFq, row_idx: IndexSet, col_idx: IndexSet) -> MatFq:
     return MatFq(a.field, picked)
 
 
-@lru_cache(maxsize=None)
-def _leading_mask(k: int) -> np.ndarray:
-    """(k, k, k) mask whose slice i keeps the rows and columns 0..i."""
-    inside = np.arange(k)[None, :] <= np.arange(k)[:, None]
-    mask = inside[:, :, None] & inside[:, None, :]
-    mask.setflags(write=False)  # shared by every caller through the cache
-    return mask
-
-
 def _sequential(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Which matrices of a (B, k, k) stack have every leading block nonsingular.
 
-    Leading block i is tested as diag(A[:i, :i], I), so all B k tests are
-    one stacked call, split only where the padded blocks would pass 4 MB.
+    With rows 0..c-1 used by the first c columns, row r still has a nonzero
+    entry in column c exactly when A[{0..c-1, r}, 0..c] is nonsingular.  So
+    every leading block is nonsingular exactly when the matrix is and
+    column c pivots on row c.
     """
-    b, k = stack.shape[0], stack.shape[-1]
-    group = max(1, 2**22 // (k**3 + 1))
-    ok = np.empty(b, dtype=bool)
-    for lo in range(0, b, group):
-        part = stack[lo : lo + group]
-        blocks = np.where(_leading_mask(k), part[:, None], np.eye(k, dtype=np.uint8))
-        ok[lo : lo + len(part)] = _nonsingular(blocks.reshape(len(part) * k, k, k), field).reshape(len(part), k).all(axis=1)
-    return ok
+    ok, rows = _pivot_rows(stack, field)
+    return ok & (rows == np.arange(stack.shape[-1])).all(axis=1)
 
 
 def sequential_full_rank(a: MatFq) -> bool:

@@ -204,22 +204,28 @@ def test_nonsingular_vs_ref_det_mixed_ranks(q, k):
     assert _nonsingular(stack[:0], field).shape == (0,)
 
 
-def test_sequential_stack_across_groups():
-    # at k = 24 the padded leading blocks are tested in groups of 303
-    # matrices; A = L U with L unit lower triangular has the leading minors
-    # of U, so A is sequential iff the diagonal of U has no zero
+def test_sequential_stack_k24():
+    # A = L M U with L unit lower and U unit upper triangular has the
+    # leading minors of M; for M a permutation scaled by d, A is nonsingular
+    # iff d has no zero, and sequential iff also the permutation is the
+    # identity
     rng = np.random.default_rng(5)
-    k = 24
-    want = []
-    stack = np.empty((400, k, k), dtype=np.uint8)
-    for m in range(400):
+    k, count = 24, 400
+    stack = np.empty((count, k, k), dtype=np.uint8)
+    nonsingular, want = [], []
+    for m in range(count):
         lower = np.tril(rng.integers(0, 3, size=(k, k), dtype=np.uint8), -1) + np.eye(k, dtype=np.uint8)
-        diag = rng.integers(1, 3, size=k, dtype=np.uint8) * (rng.random(k) > 0.01)
-        upper = np.triu(rng.integers(0, 3, size=(k, k), dtype=np.uint8), 1) + np.diag(diag).astype(np.uint8)
-        stack[m] = _matmul(lower, upper, F3)
-        want.append(bool(diag.all()))
+        upper = np.triu(rng.integers(0, 3, size=(k, k), dtype=np.uint8), 1) + np.eye(k, dtype=np.uint8)
+        scale = rng.integers(1, 3, size=k, dtype=np.uint8) * (rng.random(k) > 0.01)
+        perm = np.arange(k) if m % 2 else rng.permutation(k)
+        middle = np.zeros((k, k), dtype=np.uint8)
+        middle[np.arange(k), perm] = scale
+        stack[m] = _matmul(_matmul(lower, middle, F3), upper, F3)
+        nonsingular.append(bool(scale.all()))
+        want.append(nonsingular[-1] and bool((perm == np.arange(k)).all()))
+    assert _nonsingular(stack, F3).tolist() == nonsingular
     assert _sequential(stack, F3).tolist() == want
-    assert 0 < sum(want) < 400
+    assert 0 < sum(want) < sum(nonsingular) < count
 
 
 # --- sequential full rank ---
