@@ -1,6 +1,6 @@
 """Basis-exchange machinery over GF(q) with a Monte Carlo verification harness."""
 
-from .gf import FieldSpec, Fq, make_field
+from .gf import FieldSpec, make_field
 from .matfq import (
     MatFq,
     alpha,
@@ -10,7 +10,6 @@ from .matfq import (
     rank,
     reduce_against,
     sequential_full_rank,
-    submatrix,
 )
 from .exchange import (
     ExchangeInstance,
@@ -18,9 +17,7 @@ from .exchange import (
     SerialCertificate,
     arrow,
     find_serial_partner,
-    greedy_prefix_order,
     greene_woodall,
-    is_basis,
     serial_check,
     serial_search,
     symmetric_partners,
@@ -30,7 +27,6 @@ from .randmodel import (
     TrialOutcome,
     alpha_lower,
     block_partition,
-    chernoff_tail,
     derive_rng,
     run_trial,
     sample_ordered_basis,

@@ -9,6 +9,7 @@ byte-identical across runs; progress and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from fractions import Fraction
@@ -36,17 +37,15 @@ def _add_common(p: argparse.ArgumentParser, *, with_n: str | None = None, with_t
     p.add_argument("--q", type=int, required=True, help="field size (prime power)")
     p.add_argument("--k", type=k_type, required=True, help="exchange set size")
     if with_n == "repeat":
-        p.add_argument("--n", type=int, action="append", required=True, help="rank n (repeatable)")
+        p.add_argument("--n", type=_positive_int, action="append", required=True, help="rank n (repeatable)")
     elif with_n == "single":
-        p.add_argument("--n", type=int, required=True, help="rank n")
+        p.add_argument("--n", type=_positive_int, required=True, help="rank n")
     if with_trials:
         p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (output unaffected)")
     p.add_argument("--seed", type=int, default=None, help="base seed (default printed when unset)")
-    p.add_argument("--exhaustive", action="store_true", help="also run the all-subsets search")
-    p.add_argument("--gate", type=int, default=10**6, help="max C(n,k) for the all-subsets search")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", default=None, help="write records to this path instead of stdout")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (output unaffected)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trend = sub.add_parser("trend", help="serial-partner success rate across n")
     _add_common(p_trend, with_n="repeat")
+    p_trend.add_argument("--exhaustive", action="store_true", help="also run the all-subsets search")
+    p_trend.add_argument("--gate", type=int, default=10**6, help="max C(n,k) for the all-subsets search")
 
     p_verify = sub.add_parser("verify", help="empirical checks of the probability bounds")
     p_verify.add_argument("target", choices=("conditional", "zprime"))
@@ -105,16 +106,20 @@ def _warn_regime(k: int, n_values) -> None:
             )
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write the whole output at once, so a failed command leaves no file."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(report: Report, args) -> int:
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.format == "csv":
-            experiments.write_csv(report.records, out)
-        else:
-            experiments.write_json(report.records, out)
-    finally:
-        if args.out:
-            out.close()
+    buf = io.StringIO()
+    write = experiments.write_csv if args.format == "csv" else experiments.write_json
+    write(report.records, buf)
+    _write(buf.getvalue(), args.out)
     for flag in report.flags:
         print(f"FLAG: {flag}", file=sys.stderr)
     return 1 if report.flags else 0
@@ -134,10 +139,7 @@ def _read_basis(path: str) -> OrderedBasis:
 
 def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
-    config = ExperimentConfig(
-        q=args.q, k=args.k, n_values=(), trials=args.trials, seed=seed,
-        exhaustive=args.exhaustive, gate=args.gate,
-    )
+    config = ExperimentConfig(q=args.q, k=args.k, n_values=(), trials=args.trials, seed=seed)
     fn = experiments.estimate_alpha if args.target == "alpha" else experiments.estimate_beta
     result = fn(config, jobs=args.jobs)
     return _emit(experiments.report_from_estimate(config, result), args)
@@ -159,10 +161,7 @@ def _cmd_trend(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     _warn_regime(args.k, (args.n,))
-    config = ExperimentConfig(
-        q=args.q, k=args.k, n_values=(args.n,), trials=args.trials, seed=seed,
-        exhaustive=args.exhaustive, gate=args.gate,
-    )
+    config = ExperimentConfig(q=args.q, k=args.k, n_values=(args.n,), trials=args.trials, seed=seed)
     if args.target == "conditional":
         report = experiments.verify_conditional_bounds(config, jobs=args.jobs)
     else:
@@ -173,10 +172,7 @@ def _cmd_verify(args) -> int:
 def _cmd_crosscheck(args) -> int:
     seed = _resolve_seed(args)
     _warn_regime(args.k, (args.n,))
-    config = ExperimentConfig(
-        q=args.q, k=args.k, n_values=(args.n,), trials=1, seed=seed,
-        exhaustive=args.exhaustive, gate=args.gate,
-    )
+    config = ExperimentConfig(q=args.q, k=args.k, n_values=(args.n,), trials=1, seed=seed)
     report = experiments.crosscheck_serial(config, args.instances)
     return _emit(report, args)
 
@@ -191,26 +187,17 @@ def _cmd_serial(args) -> int:
     b1 = _read_basis(args.b1)
     b2 = _read_basis(args.b2)
     x1 = _parse_positions(args.x1)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.x2 is not None:
-            x2 = _parse_positions(args.x2)
-            cert = serial_search(ExchangeInstance(b1, b2, x1, x2))
-            if cert is None:
-                out.write("none\n")
-            else:
-                out.write(cert.to_text() + "\n")
+    if args.x2 is not None:
+        cert = serial_search(ExchangeInstance(b1, b2, x1, _parse_positions(args.x2)))
+        text = "none\n" if cert is None else cert.to_text() + "\n"
+    else:
+        found = find_serial_partner(b1, x1, b2, mode=args.mode, gate=args.gate)
+        if found is None:
+            text = "none\n"
         else:
-            found = find_serial_partner(b1, x1, b2, mode=args.mode, gate=args.gate)
-            if found is None:
-                out.write("none\n")
-            else:
-                partner, cert = found
-                out.write("partner: " + " ".join(str(j) for j in partner) + "\n")
-                out.write(cert.to_text() + "\n")
-    finally:
-        if args.out:
-            out.close()
+            partner, cert = found
+            text = "partner: " + " ".join(str(j) for j in partner) + "\n" + cert.to_text() + "\n"
+    _write(text, args.out)
     return 0
 
 

@@ -41,14 +41,6 @@ class ExhaustedWithoutWitness(RuntimeError):
     """A search guaranteed to succeed found nothing; implementation bug."""
 
 
-class PreconditionViolated(ValueError):
-    """The arrow relation required by the greedy ordering does not hold."""
-
-
-class GreedyStuck(RuntimeError):
-    """The greedy ordering ran out of candidates; implementation bug."""
-
-
 class OrderedBasis:
     """n vectors of F_q^n with full rank, indexed by column position."""
 
@@ -68,9 +60,6 @@ class OrderedBasis:
     @property
     def field(self) -> FieldSpec:
         return self.matrix.field
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.matrix.column(j)
 
     def __eq__(self, other):
         return isinstance(other, OrderedBasis) and other.matrix == self.matrix
@@ -129,13 +118,6 @@ class SerialCertificate:
         sigma = tuple(int(x) for x in left.split(":", 1)[1].split())
         tau = tuple(int(x) for x in right.split(":", 1)[1].split())
         return cls(sigma, tau)
-
-
-def is_basis(family: MatFq) -> bool:
-    """True iff the n columns have rank n; repeated columns fail."""
-    if family.rows != family.cols:
-        raise DimensionMismatch(f"need n vectors of length n, got shape {family.shape}")
-    return rank(family) == family.rows
 
 
 def _replaced(bto: OrderedBasis, xto, bfrom: OrderedBasis, xfrom) -> np.ndarray:
@@ -320,43 +302,6 @@ def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:
     """
     vp, up = _reduced_pair(inst.b1, inst.b2)
     return _search_reduced(vp, up, inst.x1, inst.x2, inst.b1.field)
-
-
-def greedy_prefix_order(
-    bto: OrderedBasis,
-    xto_ordered: IndexSet,
-    bfrom: OrderedBasis,
-    xfrom: IndexSet,
-) -> tuple[int, ...]:
-    """Order xfrom so each prefix replacement along xto_ordered is a basis.
-
-    Requires the arrow relation from (bfrom, xfrom) onto (bto, xto); the
-    greedy step (take the least usable source position) then always
-    completes, because each partial basis can be extended from the fully
-    replaced one.
-    """
-    xto_ordered = _check_index_set(xto_ordered, bto.n, "target")
-    xfrom = _check_index_set(xfrom, bfrom.n, "source")
-    if len(xfrom) != len(xto_ordered):
-        raise SizeMismatch(f"|xfrom| = {len(xfrom)} but |xto| = {len(xto_ordered)}")
-    if not arrow(bfrom, xfrom, bto, xto_ordered):
-        raise PreconditionViolated("full replacement is not a basis")
-    n = bto.n
-    field = bto.field
-    chosen: list[int] = []
-    remaining = sorted(xfrom)
-    for i in range(1, len(xfrom) + 1):
-        step = None
-        for x in remaining:
-            fam = _replaced(bto, xto_ordered[:i], bfrom, tuple(chosen) + (x,))
-            if _rank_of(fam, field) == n:
-                step = x
-                break
-        if step is None:
-            raise GreedyStuck(f"no usable source position at step {i}; this should be impossible")
-        chosen.append(step)
-        remaining.remove(step)
-    return tuple(chosen)
 
 
 def find_serial_partner(

@@ -134,6 +134,12 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     return low, high
 
 
+def _record(name: str, successes: int, trials: int, *, bounded: bool = True, **other) -> Record:
+    """One report row with estimate = successes / trials, and Wilson bounds if bounded."""
+    low, high = wilson_interval(successes, trials) if bounded else (None, None)
+    return Record(name, trials=trials, successes=successes, estimate=successes / trials, ci_low=low, ci_high=high, **other)
+
+
 def _estimate(successes: int, trials: int, name: str, seed: int, runtime: float) -> EstimateResult:
     low, high = wilson_interval(successes, trials)
     return EstimateResult(name, successes, trials, successes / trials, low, high, seed, runtime)
@@ -264,37 +270,10 @@ def report_from_trend(config: ExperimentConfig, rows: list[TrendRow], c=Fraction
     records = []
     flags = []
     for row in rows:
-        records.append(
-            Record(
-                name="block_success",
-                q=config.q,
-                k=config.k,
-                n=row.n,
-                trials=row.block.trials,
-                successes=row.block.successes,
-                estimate=row.block.estimate,
-                ci_low=row.block.ci_low,
-                ci_high=row.block.ci_high,
-                analytic=row.analytic,
-                seed=config.seed,
-            )
-        )
+        common = dict(q=config.q, k=config.k, n=row.n, seed=config.seed)
+        records.append(_record(row.block.name, row.block.successes, row.block.trials, analytic=row.analytic, **common))
         if row.subset is not None:
-            records.append(
-                Record(
-                    name="subset_success",
-                    q=config.q,
-                    k=config.k,
-                    n=row.n,
-                    trials=row.subset.trials,
-                    successes=row.subset.successes,
-                    estimate=row.subset.estimate,
-                    ci_low=row.subset.ci_low,
-                    ci_high=row.subset.ci_high,
-                    analytic=None,
-                    seed=config.seed,
-                )
-            )
+            records.append(_record(row.subset.name, row.subset.successes, row.subset.trials, **common))
     if config.q > 2:
         for prev, cur in zip(rows, rows[1:]):
             decreasing = cur.block.estimate < prev.block.estimate
@@ -331,23 +310,10 @@ def verify_conditional_bounds(config: ExperimentConfig, jobs: int = 1) -> Report
         ell = n // config.k
         for i in range(ell):
             for label, succ in (("X", int(totals.x_succ[i])), ("Y", int(totals.y_succ[i]))):
-                est = succ / totals.trials
-                low, high = wilson_interval(succ, totals.trials)
-                records.append(
-                    Record(
-                        name=f"{label}_block_{i}",
-                        q=config.q,
-                        k=config.k,
-                        n=n,
-                        trials=totals.trials,
-                        successes=succ,
-                        estimate=est,
-                        ci_low=low,
-                        ci_high=high,
-                        analytic=bound_f,
-                        seed=config.seed,
-                    )
-                )
+                rec = _record(f"{label}_block_{i}", succ, totals.trials, q=config.q, k=config.k, n=n,
+                              analytic=bound_f, seed=config.seed)
+                records.append(rec)
+                est = rec.estimate
                 if est < bound_f - _FLAG_SIGMAS * sigma:
                     flags.append(
                         f"{label}_block_{i} at n={n}: estimate {est:.4f} is more than "
@@ -367,7 +333,6 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
     """
     records = []
     flags = []
-    reported = 0
     for row_idx, n in enumerate(config.n_values):
         totals = _run_trials(config, n, row_idx, jobs)
         ell = n // config.k
@@ -375,33 +340,18 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
             count = int(totals.z_hist[s])
             if count < min_bin:
                 continue
-            reported += 1
-            zero = int(totals.zprime_zero_by_z[s])
-            est = zero / count
             bound = zprime_zero_bound(s, config.k, config.q)
             sigma = math.sqrt(bound * (1 - bound) / count)
-            low, high = wilson_interval(zero, count)
-            records.append(
-                Record(
-                    name=f"zprime_zero_given_z_{s}",
-                    q=config.q,
-                    k=config.k,
-                    n=n,
-                    trials=count,
-                    successes=zero,
-                    estimate=est,
-                    ci_low=low,
-                    ci_high=high,
-                    analytic=bound,
-                    seed=config.seed,
-                )
-            )
+            rec = _record(f"zprime_zero_given_z_{s}", int(totals.zprime_zero_by_z[s]), count, q=config.q,
+                          k=config.k, n=n, analytic=bound, seed=config.seed)
+            records.append(rec)
+            est = rec.estimate
             if est > bound + _FLAG_SIGMAS * sigma:
                 flags.append(
                     f"zprime_zero_given_z_{s} at n={n}: estimate {est:.5f} exceeds "
                     f"bound {bound:.5f} by more than {_FLAG_SIGMAS:.0f} sigma"
                 )
-    if reported == 0:
+    if not records:
         raise InsufficientData(f"no conditioning bin reached {min_bin} samples")
     records.sort(key=lambda r: (r.n, int(r.name.rsplit("_", 1)[1])))
     metadata = {"experiment": "verify_zprime", "min_bin": min_bin}
@@ -462,38 +412,15 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
                 two_serial_total += 1
                 if cert is not None:
                     two_serial_ok += 1
-    records = [
-        Record(
-            name="serial_oracle_match",
-            q=config.q,
-            k=k,
-            n=n,
-            trials=instances,
-            successes=matches,
-            estimate=matches / instances,
-            analytic=1.0,
-            seed=config.seed,
+    tally = [("serial_oracle_match", matches, instances)]
+    if two_serial_total:  # counted for k <= 2 only
+        tally.append(("two_serial_certified", two_serial_ok, two_serial_total))
+    if two_serial_ok < two_serial_total:
+        mismatches.append(
+            f"{two_serial_total - two_serial_ok} two-way exchangeable pairs with k <= 2 "
+            "had no serial certificate"
         )
-    ]
-    if k <= 2 and two_serial_total:
-        records.append(
-            Record(
-                name="two_serial_certified",
-                q=config.q,
-                k=k,
-                n=n,
-                trials=two_serial_total,
-                successes=two_serial_ok,
-                estimate=two_serial_ok / two_serial_total,
-                analytic=1.0,
-                seed=config.seed,
-            )
-        )
-        if two_serial_ok < two_serial_total:
-            mismatches.append(
-                f"{two_serial_total - two_serial_ok} two-way exchangeable pairs with k <= 2 "
-                "had no serial certificate"
-            )
+    records = [_record(*t, bounded=False, q=config.q, k=k, n=n, analytic=1.0, seed=config.seed) for t in tally]
     metadata = {"experiment": "crosscheck_serial", "instances": instances, "unsound": unsound}
     return Report(records, list(mismatches), metadata)
 
@@ -554,26 +481,8 @@ def exhaustive_small(
             else:
                 flags.append(f"symmetric_partners empty for x={x}")
     records = [
-        Record(
-            name="greene_woodall_witness",
-            q=q,
-            n=n,
-            trials=gw_cases,
-            successes=gw_ok,
-            estimate=gw_ok / gw_cases,
-            analytic=1.0,
-            seed=seed,
-        ),
-        Record(
-            name="symmetric_partner_nonempty",
-            q=q,
-            n=n,
-            trials=sym_cases,
-            successes=sym_ok,
-            estimate=sym_ok / sym_cases,
-            analytic=1.0,
-            seed=seed,
-        ),
+        _record(*t, bounded=False, q=q, n=n, analytic=1.0, seed=seed)
+        for t in (("greene_woodall_witness", gw_ok, gw_cases), ("symmetric_partner_nonempty", sym_ok, sym_cases))
     ]
     metadata = {"experiment": "exhaustive_small", "mode": mode, "pairs": len(pairs)}
     return Report(records, flags, metadata)
@@ -618,17 +527,6 @@ def write_json(records: list[Record], fh: IO[str]) -> None:
 
 def report_from_estimate(config: ExperimentConfig, result: EstimateResult) -> Report:
     analytic = alpha(config.k, config.q) if result.name == "alpha" else beta(config.k, config.q)
-    rec = Record(
-        name=result.name,
-        q=config.q,
-        k=config.k,
-        n=None,
-        trials=result.trials,
-        successes=result.successes,
-        estimate=result.estimate,
-        ci_low=result.ci_low,
-        ci_high=result.ci_high,
-        analytic=float(analytic),
-        seed=result.seed,
-    )
+    rec = _record(result.name, result.successes, result.trials, q=config.q, k=config.k, analytic=float(analytic),
+                  seed=result.seed)
     return Report([rec], [], {"experiment": f"estimate_{result.name}"})

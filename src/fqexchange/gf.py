@@ -10,7 +10,6 @@ only available for the q listed in the built-in polynomial table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +24,6 @@ class UnsupportedExtension(ValueError):
 
 class FieldTooLarge(ValueError):
     """q exceeds 256, the number of element indices a uint8 entry holds."""
-
-
-class FieldMismatch(ValueError):
-    """Operands belong to different fields."""
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -181,21 +176,6 @@ class FieldSpec:
             return pow(a, -1, self.q)
         return int(self._inv[a])
 
-    def element(self, value: int) -> Fq:
-        return Fq(value, self)
-
-    def elements(self):
-        """All q elements in index order."""
-        return (Fq(v, self) for v in range(self.q))
-
-    @property
-    def zero(self) -> Fq:
-        return Fq(0, self)
-
-    @property
-    def one(self) -> Fq:
-        return Fq(1, self)
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and other.q == self.q
 
@@ -227,60 +207,3 @@ def make_field(q: int) -> FieldSpec:
         )
     return FieldSpec(q, p, e, _REDUCTION_TABLE[q])
 
-
-@dataclass(frozen=True)
-class Fq:
-    """A single element of GF(q), identified by its canonical index."""
-
-    value: int
-    field: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"element index {self.value} outside [0, {self.field.q})")
-
-    def _same_field(self, other: Fq) -> None:
-        if not isinstance(other, Fq):
-            raise TypeError(f"expected Fq, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"cannot combine {self.field} and {other.field} elements")
-
-    def __add__(self, other: Fq) -> Fq:
-        self._same_field(other)
-        return Fq(self.field.add_idx(self.value, other.value), self.field)
-
-    def __neg__(self) -> Fq:
-        return Fq(self.field.neg_idx(self.value), self.field)
-
-    def __sub__(self, other: Fq) -> Fq:
-        self._same_field(other)
-        return Fq(self.field.add_idx(self.value, self.field.neg_idx(other.value)), self.field)
-
-    def __mul__(self, other: Fq) -> Fq:
-        self._same_field(other)
-        return Fq(self.field.mul_idx(self.value, other.value), self.field)
-
-    def inv(self) -> Fq:
-        return Fq(self.field.inv_idx(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Fq({self.value}, {self.field!r})"
-
-
-def add(a: Fq, b: Fq) -> Fq:
-    return a + b
-
-
-def mul(a: Fq, b: Fq) -> Fq:
-    return a * b
-
-
-def neg(a: Fq) -> Fq:
-    return -a
-
-
-def inv(a: Fq) -> Fq:
-    return a.inv()

@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .gf import FieldSpec, Fq, make_field
+from .gf import FieldSpec, make_field
 
 IndexSet = Sequence[int]
 
@@ -46,8 +46,8 @@ class MatFq:
         self.entries = entries
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable[int | Fq]]) -> MatFq:
-        data = [[v.value if isinstance(v, Fq) else int(v) for v in row] for row in rows]
+    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable[int]]) -> MatFq:
+        data = [[int(v) for v in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -56,14 +56,6 @@ class MatFq:
         if arr.ndim == 1:  # empty rows
             arr = arr.reshape(len(data), 0)
         return cls(field, arr)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> MatFq:
-        return cls(field, np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> MatFq:
-        return cls(field, np.eye(n, dtype=np.uint8))
 
     @property
     def rows(self) -> int:
@@ -76,9 +68,6 @@ class MatFq:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.entries[:, j])
 
     def __eq__(self, other):
         return (
@@ -182,14 +171,6 @@ def rank(m: MatFq) -> int:
     return _rank_of(m.entries, m.field)
 
 
-def submatrix(a: MatFq, row_idx: IndexSet, col_idx: IndexSet) -> MatFq:
-    """Rows and columns of a, in the order the index sets give them."""
-    s = _check_index_set(row_idx, a.rows, "row")
-    t = _check_index_set(col_idx, a.cols, "column")
-    picked = a.entries[np.ix_(s, t)] if s and t else np.zeros((len(s), len(t)), dtype=np.uint8)
-    return MatFq(a.field, picked)
-
-
 def _sequential(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Which matrices of a (B, k, k) stack have every leading block nonsingular.
 
@@ -291,12 +272,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 # --- text format: first line "q m n", then m rows of element indices ---
-
-def write_matrix_text(m: MatFq, fh: IO[str]) -> None:
-    fh.write(f"{m.field.q} {m.rows} {m.cols}\n")
-    for row in m.entries:
-        fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
 
 def read_matrix_text(fh: IO[str]) -> MatFq:
     header = fh.readline().split()

@@ -217,17 +217,6 @@ def alpha_lower(q: int) -> Fraction:
     return 1 - Fraction(1, q) - Fraction(1, q * q)
 
 
-def chernoff_tail(n: int, p, t) -> float:
-    """Two-sided binomial concentration bound 2 exp(-t^2 / (3np))."""
-    p = Fraction(p)
-    t = Fraction(t)
-    if n < 1 or not 0 < p <= 1:
-        raise DomainError(f"need n >= 1 and 0 < p <= 1, got n={n}, p={p}")
-    if not 0 <= t <= n * p:
-        raise DomainError(f"need 0 <= t <= np, got t={t}, np={n * p}")
-    return 2.0 * math.exp(-float(t * t / (3 * n * p)))
-
-
 def zprime_zero_bound(s: int, k: int, q: int) -> float:
     """Bound on the chance that s two-way blocks all fail the serial search."""
     if s < 0:

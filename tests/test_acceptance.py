@@ -275,7 +275,7 @@ def _recheck_trials(q, k, n, seed, count, row=0):
         out = run_trial(derive_rng(seed, row, t), n, k, fld)
         out.validate()
         r, c = sample_reduced(derive_rng(seed, row, t), n, k, fld)
-        b1 = OrderedBasis(MatFq.identity(fld, n))
+        b1 = OrderedBasis(MatFq(fld, np.eye(n, dtype=np.uint8)))
         b2 = OrderedBasis(MatFq.from_rows(fld, ref_completion(r.tolist(), c.tolist(), fld)))
         for i, block in enumerate(blocks):
             assert out.x_bits[i] == int(arrow(b1, u1, b2, block))

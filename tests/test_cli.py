@@ -1,10 +1,16 @@
 """Command-line surface: flags, exit codes, formats, reproducibility."""
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fqexchange.cli import main
+from fqexchange.cli import build_parser, main
+from fqexchange.experiments import CSV_COLUMNS
 
 
 def write_identity(path, q, n):
@@ -191,6 +197,9 @@ def test_trend_rejects_q_above_256(capsys):
         ["trend", "--q", "3", "--k", "2", "--n", "8", "--jobs", "-7"],
         ["verify", "zprime", "--q", "3", "--k", "2", "--n", "8", "--jobs", "0"],
         ["trend", "--q", "3", "--k", "two", "--n", "8"],
+        ["trend", "--q", "3", "--k", "1", "--n", "0"],
+        ["verify", "conditional", "--q", "3", "--k", "2", "--n", "-4"],
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "0"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -211,3 +220,110 @@ def test_exhaustive_default_seed_announced(capsys):
     code, out, err = run(capsys, "exhaustive", "--q", "2", "--n", "2")
     assert code == 0
     assert "default seed 1729" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "alpha", "--q", "3", "--k", "2", "--trials", "10", "--seed", "1", "--gate", "5", "--exhaustive"],
+        ["estimate", "beta", "--q", "3", "--k", "2", "--trials", "10", "--seed", "1", "--exhaustive"],
+        ["verify", "zprime", "--q", "3", "--k", "2", "--n", "4", "--trials", "400", "--seed", "1", "--exhaustive"],
+        ["verify", "conditional", "--q", "3", "--k", "2", "--n", "8", "--trials", "10", "--seed", "1", "--gate", "5"],
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "4", "--instances", "3", "--seed", "1", "--jobs", "9"],
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "4", "--instances", "3", "--seed", "1", "--exhaustive"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    # --exhaustive and --gate belong to trend; --jobs to estimate, trend and verify
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_serial_failure_leaves_no_out_file(capsys, tmp_path):
+    m = write_identity(tmp_path / "id3.mat", 3, 3)
+    path = tmp_path / "o.txt"
+    code, out, err = run(capsys, "serial", "--b1", m, "--b2", m, "--x1", "0,7", "--out", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert not path.exists()
+
+
+# --- the CLI contract, on argv built from the parser's own options ---
+
+# In-range values; at most one option per argv instead takes a small int
+# from _EDGE, which includes 0 and negatives.
+_VALID = {
+    "q": st.sampled_from([2, 3, 4, 5, 9]),
+    "k": st.integers(1, 2),
+    "n": st.integers(2, 8),
+    "trials": st.integers(1, 50),  # at most one chunk, so no worker pool starts
+    "instances": st.integers(1, 50),
+    "pairs": st.integers(1, 5),
+    "jobs": st.sampled_from([1, 2]),
+    "seed": st.integers(0, 10**6),
+    "gate": st.integers(0, 40),
+}
+_VALID_EXHAUSTIVE = {**_VALID, "q": st.sampled_from([2, 3]), "n": st.integers(1, 3)}
+_EDGE = st.integers(-3, 1)
+
+
+def _subparsers():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sub.choices[name] for name in ("estimate", "trend", "verify", "crosscheck", "exhaustive")}
+
+
+def _draw_argv(data, name, parser):
+    valid = _VALID_EXHAUSTIVE if name == "exhaustive" else _VALID
+    edge = data.draw(st.sampled_from([None, None, *sorted(set(valid) & {a.dest for a in parser._actions})]))
+    argv = [name]
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest == "out":
+            continue
+        if not action.option_strings:  # the positional target
+            argv.append(data.draw(st.sampled_from(action.choices)))
+        elif action.nargs == 0:  # a switch
+            if data.draw(st.booleans()):
+                argv.append(action.option_strings[0])
+        elif action.choices:
+            argv += [action.option_strings[0], data.draw(st.sampled_from(action.choices))]
+        else:
+            values = _EDGE if action.dest == edge else valid[action.dest]
+            size = 3 if isinstance(action, argparse._AppendAction) else 1
+            for v in data.draw(st.lists(values, min_size=1, max_size=size).map(sorted)):
+                argv += [action.option_strings[0], str(v)]
+    return argv
+
+
+def _counts(out: str, fmt: str):
+    if fmt == "json":
+        rows = json.loads(out)
+        assert all(list(row) == list(CSV_COLUMNS) for row in rows)
+        return [(row["trials"], row["successes"]) for row in rows]
+    header, *lines = out.splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    cells = [line.split(",") for line in lines]
+    assert all(len(c) == len(CSV_COLUMNS) for c in cells)
+    return [(int(c[4]), int(c[5])) for c in cells]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_contract(data):
+    name = data.draw(st.sampled_from(sorted(_subparsers())))
+    argv = _draw_argv(data, name, _subparsers()[name])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+        return
+    if code == 1:
+        assert "FLAG: " in err, argv
+    fmt = argv[argv.index("--format") + 1]
+    assert all(trials >= 0 and successes >= 0 for trials, successes in _counts(out, fmt)), argv

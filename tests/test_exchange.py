@@ -17,9 +17,7 @@ from fqexchange.exchange import (
     _search_reduced,
     arrow,
     find_serial_partner,
-    greedy_prefix_order,
     greene_woodall,
-    is_basis,
     serial_check,
     serial_search,
     symmetric_partners,
@@ -37,7 +35,7 @@ def basis(field, rows):
 
 
 def std(field, n):
-    return OrderedBasis(MatFq.identity(field, n))
+    return OrderedBasis(MatFq(field, np.eye(n, dtype=np.uint8)))
 
 
 def random_instance(seed, trial, n, k, field):
@@ -57,26 +55,27 @@ def brute_force_serial(inst):
     return None
 
 
-# --- is_basis ---
+# --- is a basis: OrderedBasis accepts n independent vectors of length n only ---
 
 
 def test_is_basis_standard():
-    assert is_basis(MatFq.identity(F3, 4))
+    assert std(F3, 4).n == 4
 
 
 def test_is_basis_repeated_vector():
-    assert not is_basis(MatFq(F3, np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.uint8)))
+    with pytest.raises(DimensionMismatch):
+        basis(F3, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
 
 
 def test_is_basis_rank_two_family():
     # columns e1, e1+e2, e2 span only a plane in F3^3
-    m = MatFq(F3, np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=np.uint8))
-    assert not is_basis(m)
+    with pytest.raises(DimensionMismatch):
+        basis(F3, [[1, 1, 0], [0, 1, 1], [0, 0, 0]])
 
 
 def test_is_basis_requires_square():
     with pytest.raises(DimensionMismatch):
-        is_basis(MatFq.zeros(F3, 3, 2))
+        basis(F3, [[1, 0], [0, 1], [0, 0]])
 
 
 def test_ordered_basis_validates():
@@ -117,9 +116,9 @@ def test_arrow_matches_direct_construction():
     for t in range(40):
         inst = random_instance(202, t, 5, 2, F3)
         got = arrow(inst.b1, inst.x1, inst.b2, inst.x2)
-        cols = [list(inst.b2.column(j)) for j in range(5)]
+        cols = inst.b2.matrix.entries.T.tolist()
         for pos, src in zip(inst.x2, inst.x1):
-            cols[pos] = list(inst.b1.column(src))
+            cols[pos] = inst.b1.matrix.entries[:, src].tolist()
         assert got == ref_is_basis(cols, F3)
 
 
@@ -305,53 +304,6 @@ def test_two_way_exchange_does_not_imply_serial_at_k2():
     assert brute_force_serial(inst) is None
     # the existential statement still holds: some 2-subset of b2 works
     assert find_serial_partner(b1, x1, b2, mode="all_subsets") is not None
-
-
-# --- greedy one-sided ordering ---
-
-
-def test_greedy_prefix_order_k1():
-    b = std(F3, 3)
-    assert greedy_prefix_order(b, (2,), b, (2,)) == (2,)
-
-
-def test_greedy_prefix_order_self_exchange_reversed_target():
-    b = std(F3, 4)
-    order = greedy_prefix_order(b, (1, 0), b, (0, 1))
-    assert sorted(order) == [0, 1]
-    # verify the one-sided prefix chain directly
-    ent = b.matrix.entries.copy()
-    for i in range(1, 3):
-        fam = b.matrix.entries.copy()
-        fam[:, [1, 0][:i]] = ent[:, list(order[:i])]
-        assert rank(MatFq(F3, fam)) == 4
-
-
-def test_greedy_prefix_order_precondition():
-    b2 = std(F3, 4)
-    b1 = basis(F3, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    from fqexchange.exchange import PreconditionViolated
-
-    with pytest.raises(PreconditionViolated):
-        greedy_prefix_order(b2, (0, 1), b1, (0, 1))
-
-
-def test_greedy_prefix_order_random_chain_verifies():
-    done = 0
-    t = 0
-    while done < 200 and t < 3000:
-        inst = random_instance(53, t, 6, 3, F3)
-        t += 1
-        if not arrow(inst.b1, inst.x1, inst.b2, inst.x2):
-            continue
-        done += 1
-        order = greedy_prefix_order(inst.b2, inst.x2, inst.b1, inst.x1)
-        assert sorted(order) == list(inst.x1)
-        for i in range(1, 4):
-            fam = inst.b2.matrix.entries.copy()
-            fam[:, list(inst.x2[:i])] = inst.b1.matrix.entries[:, list(order[:i])]
-            assert rank(MatFq(F3, fam)) == 6
-    assert done == 200
 
 
 # --- partner search ---

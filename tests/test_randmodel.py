@@ -11,15 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_completion, ref_det, ref_matmul, ref_search_reduced
-from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, is_basis, serial_check, serial_search
+from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_check, serial_search
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, alpha
+from fqexchange.matfq import MatFq, alpha, rank
 from fqexchange.randmodel import (
     DomainError,
     KTooLarge,
     alpha_lower,
     block_partition,
-    chernoff_tail,
     derive_rng,
     right_inverse,
     run_trial,
@@ -76,7 +75,7 @@ def test_sample_ordered_basis_n1_f2():
 def test_sample_ordered_basis_is_basis():
     for t in range(30):
         b = sample_ordered_basis(derive_rng(2, 0, t), 6, F3)
-        assert is_basis(b.matrix)
+        assert rank(b.matrix) == 6
 
 
 def _det_mod(a, q):
@@ -191,7 +190,7 @@ def replay_bases(seed, row, t, n, k, field):
     """
     r, c = sample_reduced(derive_rng(seed, row, t), n, k, field)
     m = ref_completion(r.tolist(), c.tolist(), field)
-    return OrderedBasis(MatFq.identity(field, n)), OrderedBasis(MatFq.from_rows(field, m))
+    return OrderedBasis(MatFq(field, np.eye(n, dtype=np.uint8))), OrderedBasis(MatFq.from_rows(field, m))
 
 
 def test_run_trial_bits_match_public_operations():
@@ -263,29 +262,6 @@ def test_alpha_lower_values():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_alpha_partial_product_exceeds_lower_bound(q):
     assert alpha(30, q) > alpha_lower(q)
-
-
-def test_chernoff_tail_at_zero():
-    assert chernoff_tail(10, Fraction(1, 2), 0) == 2.0
-
-
-def test_chernoff_tail_example():
-    got = chernoff_tail(300, Fraction(1, 2), 150)
-    assert got == pytest.approx(2 * math.exp(-50), rel=1e-12)
-
-
-def test_chernoff_tail_monotone():
-    vals = [chernoff_tail(100, Fraction(1, 2), t) for t in range(0, 51, 5)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_chernoff_tail_domain():
-    with pytest.raises(DomainError):
-        chernoff_tail(10, Fraction(1, 2), 6)  # t > np
-    with pytest.raises(DomainError):
-        chernoff_tail(10, 0, 1)
-    with pytest.raises(DomainError):
-        chernoff_tail(10, 2, 1)
 
 
 def test_zprime_zero_bound_values():
