@@ -30,6 +30,7 @@ from .exchange import (
     ExchangeInstance,
     OrderedBasis,
     SerialCertificate,
+    _prefix_bases,
     arrow,
     greene_woodall,
     serial_check,
@@ -41,6 +42,9 @@ from .matfq import MatFq, _nonsingular, _sequential, alpha, beta, nonsingular_co
 from .randmodel import derive_rng, run_trial, sample_ordered_basis, theorem_tail, zprime_zero_bound
 
 _CHUNK = 512
+_MAX_DRAW_BYTES = 1 << 24  # largest (chunk, k, k) uint8 draw an estimate chunk may make
+_MAX_CROSSCHECK_K = 5  # the oracle enumerates (k!)^2 ordering pairs per instance
+_ORACLE_SLICE = 4096  # matrices per stacked call of the crosscheck oracle
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _FLAG_SIGMAS = 4.0
 
@@ -171,6 +175,11 @@ def _estimate_chunk(args) -> int:
 
 
 def _run_estimate(config: ExperimentConfig, kind: str, jobs: int) -> EstimateResult:
+    if _CHUNK * config.k**2 > _MAX_DRAW_BYTES:
+        raise ValueError(
+            f"k = {config.k} needs {_CHUNK * config.k**2} bytes per {_CHUNK}-trial draw, "
+            f"above the {_MAX_DRAW_BYTES}-byte limit"
+        )
     t0 = time.perf_counter()
     args = [(kind, config.q, config.k, config.seed, lo, hi) for lo, hi in _chunk_ranges(config.trials)]
     successes = sum(_map_chunks(_estimate_chunk, args, jobs))
@@ -362,26 +371,41 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
 
 
 def _brute_force_serial(inst: ExchangeInstance) -> SerialCertificate | None:
-    """Enumerate all (k!)^2 ordering pairs, verifying each directly."""
-    for sigma in permutations(inst.x1):
-        for tau in permutations(inst.x2):
-            cert = SerialCertificate(sigma, tau)
-            if serial_check(inst, cert):
-                return cert
+    """Enumerate all (k!)^2 ordering pairs, verifying each directly.
+
+    The prefix replacements of the pairs are tested in stacked slices of at
+    most _ORACLE_SLICE matrices; the first pair, in permutations order,
+    whose every prefix gives a basis on both sides is returned.
+    """
+    sigmas, taus = (np.array(list(permutations(x))) for x in (inst.x1, inst.x2))
+    count = len(taus)  # k! orderings of each set
+    step = max(1, _ORACLE_SLICE // max(2 * inst.k, 1))
+    for lo in range(0, count * count, step):
+        pair = np.arange(lo, min(lo + step, count * count))
+        sigma, tau = sigmas[pair // count], taus[pair % count]
+        hits = np.flatnonzero(_prefix_bases(inst.b1, inst.b2, sigma, tau).all(axis=1))
+        if hits.size:
+            return SerialCertificate(tuple(map(int, sigma[hits[0]])), tuple(map(int, tau[hits[0]])))
     return None
 
 
 def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     """Backtracking verdicts against exhaustive ordering enumeration.
 
+    k is at most 5, since the enumeration costs (k!)^2 per instance.
     For k <= 2 it also counts the two-way exchangeable pairs and, among
     them, the serially certified ones, and flags the shortfall against the
     claim that every two-way exchangeable pair is serially exchangeable.
     That claim is false (see README), so a flag here is a finding, not a bug.
     """
+    k = config.k
+    if k > _MAX_CROSSCHECK_K:
+        raise ValueError(
+            f"k = {k} means (k!)^2 = {math.factorial(k) ** 2} ordering pairs per instance; "
+            f"crosscheck allows k <= {_MAX_CROSSCHECK_K}"
+        )
     n = config.n_values[0]
     fld = make_field(config.q)
-    k = config.k
     mismatches = []
     matches = 0
     unsound = 0

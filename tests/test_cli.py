@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqexchange import experiments
 from fqexchange.cli import build_parser, main
 from fqexchange.experiments import CSV_COLUMNS
 
@@ -200,6 +201,7 @@ def test_trend_rejects_q_above_256(capsys):
         ["trend", "--q", "3", "--k", "1", "--n", "0"],
         ["verify", "conditional", "--q", "3", "--k", "2", "--n", "-4"],
         ["crosscheck", "--q", "3", "--k", "2", "--n", "0"],
+        ["crosscheck", "--q", "3", "--k", "6", "--n", "8"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -208,6 +210,30 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_crosscheck_k_limit_names_pair_count(capsys):
+    code, out, err = run(capsys, "crosscheck", "--q", "3", "--k", "6", "--n", "8", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "(k!)^2 = 518400" in err
+
+
+@pytest.mark.parametrize("k", [182, 2000, 10**6])
+def test_estimate_k_above_draw_limit_exits_2_before_drawing(capsys, monkeypatch, k):
+    # 512 k^2 bytes per chunk draw; k = 181 is the largest within 2^24
+    def no_draw(*args):
+        raise AssertionError("drew matrices for a rejected k")
+
+    monkeypatch.setattr(experiments, "_map_chunks", no_draw)
+    code, out, err = run(capsys, "estimate", "alpha", "--q", "3", "--k", str(k), "--seed", "1")
+    assert code == 2 and out == ""
+    assert f"k = {k} needs {512 * k * k} bytes" in err
+
+
+def test_estimate_accepts_k_at_draw_limit(capsys):
+    code, out, err = run(capsys, "estimate", "beta", "--q", "3", "--k", "181", "--trials", "2", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("beta,3,181,n/a,2,")
 
 
 def test_estimate_accepts_k0(capsys):

@@ -2,13 +2,17 @@
 
 import io
 import json
+from itertools import permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_is_basis
 from fqexchange import experiments
+from fqexchange.exchange import ExchangeInstance, SerialCertificate, serial_check
 from fqexchange.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -26,6 +30,8 @@ from fqexchange.experiments import (
     write_csv,
     write_json,
 )
+from fqexchange.gf import make_field
+from fqexchange.randmodel import sample_ordered_basis
 
 
 def cfg(**kw):
@@ -229,6 +235,67 @@ def test_crosscheck_k2_flags_two_serial_gap():
     (two,) = [r for r in rep.records if r.name == "two_serial_certified"]
     assert two.successes < two.trials
     assert any("no serial certificate" in f for f in rep.flags)
+
+
+def _ref_prefix_failures(cols1, cols2, sigma, tau, field, memo):
+    """(side, i) for every prefix replacement that is no basis, from plain column lists.
+
+    Side 1 is B1 with sigma[:i] replaced by B2's tau[:i], side 2 the
+    reverse.  A family's basis test is memoised on its sorted columns,
+    since reordering columns keeps the answer.
+    """
+    out = []
+    for i in range(1, len(sigma) + 1):
+        fam1, fam2 = list(cols1), list(cols2)
+        for s, t in zip(sigma[:i], tau[:i]):
+            fam1[s], fam2[t] = cols2[t], cols1[s]
+        for side, fam in ((1, fam1), (2, fam2)):
+            key = tuple(sorted(fam))
+            if key not in memo:
+                memo[key] = ref_is_basis(fam, field)
+            if not memo[key]:
+                out.append((side, i))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_oracle_matches_plain_prefix_families(monkeypatch, q, k):
+    # the (k!)^2 oracle and serial_check against the definition, built
+    # without the library kernels: the first ordering pair in permutations
+    # order whose every prefix gives a basis on both sides, or None; the
+    # oracle must give it also in slices of three pairs
+    field = make_field(q)
+    rng = np.random.default_rng(100 * q + k)
+    n = k + 1 + q % 2
+    nones = later_certs = 0
+    one_sided = {1: 0, 2: 0}  # pairs failing at one intermediate prefix of one side only
+    for _ in range(20):
+        b1, b2 = sample_ordered_basis(rng, n, field), sample_ordered_basis(rng, n, field)
+        x1, x2 = (tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for _ in range(2))
+        inst = ExchangeInstance(b1, b2, x1, x2)
+        cols1, cols2 = ([tuple(c) for c in b.matrix.entries.T.tolist()] for b in (b1, b2))
+        memo = {}
+        want = None
+        for idx, (sigma, tau) in enumerate(product(permutations(x1), permutations(x2))):
+            cert = SerialCertificate(sigma, tau)
+            fails = _ref_prefix_failures(cols1, cols2, sigma, tau, field, memo)
+            assert serial_check(inst, cert) == (not fails), (inst, cert, fails)
+            if len(fails) == 1 and fails[0][1] < k:
+                one_sided[fails[0][0]] += 1
+            if not fails:
+                want = cert
+                later_certs += idx > 0
+                break
+        assert experiments._brute_force_serial(inst) == want
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_ORACLE_SLICE", 6 * k + 1)
+            assert experiments._brute_force_serial(inst) == want
+        nones += want is None
+    assert nones > 0
+    if k > 1:
+        assert one_sided[1] > 0 and one_sided[2] > 0
+        assert later_certs > 0
 
 
 def test_exhaustive_small_q2_n2_enumerates_everything():

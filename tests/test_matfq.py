@@ -18,6 +18,7 @@ from fqexchange.matfq import (
     _check_index_set,
     _matmul,
     _nonsingular,
+    _rank_of,
     _sequential,
     alpha,
     beta,
@@ -169,7 +170,7 @@ def _mixed_rank_stack(rng, field, k, count):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 251, *SUPPORTED_EXTENSIONS])
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
 def test_nonsingular_vs_ref_det_mixed_ranks(q, k):
     field = make_field(q)
     stack = _mixed_rank_stack(np.random.default_rng(q * 10 + k), field, k, 30)
@@ -179,6 +180,30 @@ def test_nonsingular_vs_ref_det_mixed_ranks(q, k):
     if k:
         assert not any(want[::3])
     assert _nonsingular(stack[:0], field).shape == (0,)
+
+
+def _accepted_q():
+    out = []
+    for q in range(2, 257):
+        try:
+            make_field(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _accepted_q())
+def test_nonsingular_vs_rank_of_up_to_12(q):
+    # the crosscheck oracle stacks n x n prefix families: n = 6 in the
+    # benchmark, 10 at k = 5
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    for k in range(1, 13):
+        stack = _mixed_rank_stack(rng, field, k, 30)
+        want = [_rank_of(m, field) == k for m in stack]
+        assert _nonsingular(stack, field).tolist() == want
+        assert not any(want[::3])
 
 
 def test_sequential_stack_k24():
