@@ -3,7 +3,7 @@
 Exit codes: 0 success (including warnings), 1 a verification report
 contains a flagged violation or oracle mismatch, 2 invalid flags or
 inputs.  Given the same arguments and seed, stdout and output files are
-byte-identical across runs; progress and warnings go to stderr.
+byte-identical across runs; warnings and flags go to stderr.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ import argparse
 import io
 import math
 import sys
-from fractions import Fraction
 
 from . import experiments, matfq
-from .exchange import OrderedBasis, find_serial_partner, serial_search, ExchangeInstance
+from .exchange import SUBSET_GATE, OrderedBasis, find_serial_partner, serial_search, ExchangeInstance
 from .experiments import ExperimentConfig, Report
 from .gf import NotPrimePower, UnsupportedExtension
 
@@ -59,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trend = sub.add_parser("trend", help="serial-partner success rate across n")
     _add_common(p_trend, with_n="repeat")
     p_trend.add_argument("--exhaustive", action="store_true", help="also run the all-subsets search")
-    p_trend.add_argument("--gate", type=int, default=10**6, help="max C(n,k) for the all-subsets search")
+    p_trend.add_argument("--gate", type=int, default=SUBSET_GATE, help="max C(n,k) for the all-subsets search")
 
     p_verify = sub.add_parser("verify", help="empirical checks of the probability bounds")
     p_verify.add_argument("target", choices=("conditional", "zprime"))
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serial.add_argument("--x1", required=True, help="comma-separated positions in b1")
     p_serial.add_argument("--x2", default=None, help="comma-separated positions in b2")
     p_serial.add_argument("--mode", choices=("blocks", "all_subsets"), default="blocks")
-    p_serial.add_argument("--gate", type=int, default=10**6)
+    p_serial.add_argument("--gate", type=int, default=SUBSET_GATE)
     p_serial.add_argument("--out", default=None)
 
     return parser
@@ -153,9 +152,8 @@ def _cmd_trend(args) -> int:
         q=args.q, k=args.k, n_values=n_values, trials=args.trials, seed=seed,
         exhaustive=args.exhaustive, gate=args.gate,
     )
-    c, eps = Fraction(1, 20), Fraction(1, 20)
-    rows = experiments.trend(config, c, eps, jobs=args.jobs)
-    return _emit(experiments.report_from_trend(config, rows, c, eps), args)
+    rows = experiments.trend(config, jobs=args.jobs)
+    return _emit(experiments.report_from_trend(config, rows), args)
 
 
 def _cmd_verify(args) -> int:

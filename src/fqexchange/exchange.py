@@ -33,6 +33,8 @@ import numpy as np
 from .gf import FieldSpec
 from .matfq import IndexSet, MatFq, _check_index_set, _nonsingular, _rank_of, rank, reduce_against
 
+SUBSET_GATE = 10**6  # default largest C(n, k) an all-subsets search scans
+
 
 class DimensionMismatch(ValueError):
     """A vector family does not consist of exactly n vectors of length n."""
@@ -221,20 +223,6 @@ def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.nd
     return vp, up
 
 
-def _outer_pairs(k: int) -> list[tuple[int, int]]:
-    """The prefix pairs of sizes 1, k - 1 and k, the full exchange last.
-
-    A pair (S, T) holds the swapped positions of both exchange sets as
-    bitmasks over their sorted order.  There are about 2 k^2 of these; for
-    k <= 3 they are every pair, and beyond that the search tests the
-    middle sizes only where it reaches them.
-    """
-    full = (1 << k) - 1
-    rims = sorted({1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)} - {0, full})
-    pairs = [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()]
-    return pairs + [(full, full)]
-
-
 def _prefix_table(a: np.ndarray, b: np.ndarray, field: FieldSpec, pairs: list[tuple[int, int]]) -> np.ndarray:
     """Nonsingularity of the named prefix minors of a stack of candidate blocks.
 
@@ -263,16 +251,14 @@ def _certificate(
     """The first serial ordering in lexicographic position order, or None.
 
     a and b are one candidate's blocks as in _prefix_table, and known maps
-    prefix pairs to their validity on both sides; it must hold the
-    _outer_pairs.  A state is the pair of sets swapped so far: the other
-    steps out of a state are tested in one stacked call when the search
-    first stands there, and a state that failed once is not searched again,
-    since whether it completes depends on nothing else.
+    prefix pairs to their validity on both sides; _scan seeds it.  A state
+    is the pair of sets swapped so far: the other steps out of a state are
+    tested in one stacked call when the search first stands there, and a
+    state that failed once is not searched again, since whether it
+    completes depends on nothing else.
     """
     k = len(ones)
     full = (1 << k) - 1
-    if not known[full, full]:
-        return None
     sigma: list[int] = []
     tau: list[int] = []
     failed = set()
@@ -303,6 +289,32 @@ def _certificate(
     return None
 
 
+def _scan(
+    a: np.ndarray, b: np.ndarray, ones: tuple[int, ...], candidates, field: FieldSpec
+) -> tuple[np.ndarray, np.ndarray, list[SerialCertificate | None]]:
+    """The y bits, the x bits and the first certificate of each candidate.
+
+    a[c] = vp[ones, cand] and b[c] = up[cand, ones] for the sorted
+    candidate cand = candidates[c].  One prefix table holds the pairs
+    (S, T) of swapped-position bitmasks of sizes 1, k - 1 and k (every pair
+    for k <= 3; the search tests the middle sizes only where it reaches
+    them), the full exchange last: its two sides are the y and x bits.
+    The table seeds the serial search of each candidate where both hold;
+    elsewhere the certificate is None.
+    """
+    k = len(ones)
+    full = (1 << k) - 1
+    rims = sorted({1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)} - {0, full})
+    pairs = [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()] + [(full, full)]
+    table = _prefix_table(a, b, field, pairs)
+    both = table.all(axis=0)
+    certs = [
+        _certificate(a[c], b[c], dict(zip(pairs, both[c])), ones, twos, field) if both[c, -1] else None
+        for c, twos in enumerate(candidates)
+    ]
+    return table[0, :, -1], table[1, :, -1], certs
+
+
 def _search_reduced(
     vp: np.ndarray,
     up: np.ndarray,
@@ -320,10 +332,8 @@ def _search_reduced(
     if not x1:
         return SerialCertificate((), ())
     ones, twos = tuple(sorted(x1)), tuple(sorted(x2))
-    a, b = vp[np.ix_(ones, twos)], up[np.ix_(twos, ones)]
-    pairs = _outer_pairs(len(ones))
-    ok = _prefix_table(a[None], b[None], field, pairs).all(axis=0)[0]
-    return _certificate(a, b, dict(zip(pairs, ok)), ones, twos, field)
+    _, _, (cert,) = _scan(vp[np.ix_(ones, twos)][None], up[np.ix_(twos, ones)][None], ones, [twos], field)
+    return cert
 
 
 def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:
@@ -341,7 +351,7 @@ def find_serial_partner(
     x1: IndexSet,
     b2: OrderedBasis,
     mode: str = "blocks",
-    gate: int = 10**6,
+    gate: int = SUBSET_GATE,
 ) -> tuple[tuple[int, ...], SerialCertificate] | None:
     """Search b2 for a k-subset serially exchangeable with x1.
 

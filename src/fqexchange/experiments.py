@@ -27,6 +27,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .exchange import (
+    SUBSET_GATE,
     ExchangeInstance,
     OrderedBasis,
     SerialCertificate,
@@ -47,6 +48,9 @@ _MAX_CROSSCHECK_K = 5  # the oracle enumerates (k!)^2 ordering pairs per instanc
 _ORACLE_SLICE = 4096  # matrices per stacked call of the crosscheck oracle
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _FLAG_SIGMAS = 4.0
+_TREND_C = _TREND_EPSILON = Fraction(1, 20)  # the theorem_tail constants of the trend's analytic column
+_MIN_BIN = 200  # trials a verify_zprime conditioning bin needs before it is reported
+_ENUMERATE_LIMIT = 5000  # most basis pairs exhaustive_small enumerates instead of sampling
 
 
 class InsufficientData(ValueError):
@@ -63,7 +67,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     exhaustive: bool = False
-    gate: int = 10**6
+    gate: int = SUBSET_GATE
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -123,8 +127,9 @@ class TrendRow:
     analytic: Optional[float]
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval; stays inside [0, 1] and contains the estimate."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson 95% score interval; stays inside [0, 1] and contains the estimate."""
+    z = _WILSON_Z
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad counts: {successes}/{trials}")
     phat = successes / trials
@@ -246,16 +251,12 @@ def _run_trials(config: ExperimentConfig, n: int, row: int, jobs: int) -> _Trial
     return _TrialTotals(*(sum(getattr(p, f.name) for p in parts) for f in fields(_TrialTotals)))
 
 
-def trend(
-    config: ExperimentConfig,
-    c=Fraction(1, 20),
-    epsilon=Fraction(1, 20),
-    jobs: int = 1,
-) -> list[TrendRow]:
+def trend(config: ExperimentConfig, jobs: int = 1) -> list[TrendRow]:
     """Estimate the no-serial-block failure rate shrinking as n grows.
 
     One row per n, each from its own seed stream.  The analytic column is
-    the closed-form tail envelope and only exists for q > 2.
+    the closed-form tail envelope at c = epsilon = 1/20 and only exists
+    for q > 2.
     """
     if not config.n_values:
         raise ValueError("n_values must be nonempty")
@@ -270,12 +271,12 @@ def trend(
         subset = None
         if totals.subset_ran:
             subset = _estimate(totals.subset_hits, totals.subset_ran, "subset_success", config.seed, dt)
-        analytic = float(theorem_tail(n, config.k, config.q, c, epsilon)) if config.q > 2 else None
+        analytic = float(theorem_tail(n, config.k, config.q, _TREND_C, _TREND_EPSILON)) if config.q > 2 else None
         rows.append(TrendRow(n, block, subset, analytic))
     return rows
 
 
-def report_from_trend(config: ExperimentConfig, rows: list[TrendRow], c=Fraction(1, 20), epsilon=Fraction(1, 20)) -> Report:
+def report_from_trend(config: ExperimentConfig, rows: list[TrendRow]) -> Report:
     records = []
     flags = []
     for row in rows:
@@ -296,8 +297,8 @@ def report_from_trend(config: ExperimentConfig, rows: list[TrendRow], c=Fraction
     metadata = {
         "experiment": "trend",
         "threshold_basis": "pilot-calibrated",
-        "c": str(Fraction(c)),
-        "epsilon": str(Fraction(epsilon)),
+        "c": str(_TREND_C),
+        "epsilon": str(_TREND_EPSILON),
         "k_le_ln_n": {n: config.k <= math.log(n) for n in config.n_values},
     }
     return Report(records, flags, metadata)
@@ -333,10 +334,10 @@ def verify_conditional_bounds(config: ExperimentConfig, jobs: int = 1) -> Report
     return Report(records, flags, metadata)
 
 
-def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 200) -> Report:
+def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1) -> Report:
     """Conditional no-serial-block rate, binned by the two-way count.
 
-    Only bins holding at least min_bin trials are reported; a bin is
+    Only bins holding at least _MIN_BIN trials are reported; a bin is
     flagged when its empirical rate exceeds the (1 - beta_k)^s ceiling by
     more than four standard errors at the ceiling.
     """
@@ -347,7 +348,7 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
         ell = n // config.k
         for s in range(ell + 1):
             count = int(totals.z_hist[s])
-            if count < min_bin:
+            if count < _MIN_BIN:
                 continue
             bound = zprime_zero_bound(s, config.k, config.q)
             sigma = math.sqrt(bound * (1 - bound) / count)
@@ -361,9 +362,9 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1, min_bin: int = 
                     f"bound {bound:.5f} by more than {_FLAG_SIGMAS:.0f} sigma"
                 )
     if not records:
-        raise InsufficientData(f"no conditioning bin reached {min_bin} samples")
+        raise InsufficientData(f"no conditioning bin reached {_MIN_BIN} samples")
     records.sort(key=lambda r: (r.n, int(r.name.rsplit("_", 1)[1])))
-    metadata = {"experiment": "verify_zprime", "min_bin": min_bin}
+    metadata = {"experiment": "verify_zprime", "min_bin": _MIN_BIN}
     return Report(records, flags, metadata)
 
 
@@ -455,17 +456,11 @@ def _all_bases(q: int, n: int) -> list[OrderedBasis]:
     return [OrderedBasis(MatFq(fld, m), validate=False) for m in every[_nonsingular(every, fld)]]
 
 
-def exhaustive_small(
-    q: int,
-    n: int,
-    seed: int = 0,
-    sample_pairs: int = 200,
-    enumerate_limit: int = 5000,
-) -> Report:
+def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> Report:
     """Witness existence for set exchange and symmetric exchange.
 
     Enumerates every ordered basis pair when the pair count is within
-    enumerate_limit, otherwise samples sample_pairs pairs.  Every (pair,
+    _ENUMERATE_LIMIT, otherwise samples sample_pairs pairs.  Every (pair,
     subset) case must produce a set-exchange witness and every (pair,
     element) case a symmetric partner.
     """
@@ -473,7 +468,7 @@ def exhaustive_small(
         raise ValueError("exhaustive check supports q in {2, 3} and 1 <= n <= 4")
     fld = make_field(q)
     total_pairs = nonsingular_count(n, q) ** 2
-    if total_pairs <= enumerate_limit:
+    if total_pairs <= _ENUMERATE_LIMIT:
         bases = _all_bases(q, n)
         pairs = [(b1, b2) for b1 in bases for b2 in bases]
         mode = "enumerated"

@@ -278,10 +278,15 @@ def read_matrix_text(fh: IO[str]) -> MatFq:
     if len(header) != 3:
         raise ValueError(f"matrix header must be 'q m n', got {header!r}")
     q, m, n = (int(x) for x in header)
+    if m < 0 or n < 0:
+        raise ValueError(f"matrix shape {m} x {n} is negative")
     field = make_field(q)
     rows = []
     for i in range(m):
-        parts = fh.readline().split()
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"matrix file ends after {i} of {m} rows")
+        parts = line.split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         row = [int(x) for x in parts]

@@ -20,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .exchange import OrderedBasis, SerialCertificate, _certificate, _outer_pairs, _prefix_table, _search_reduced
+from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _scan, _search_reduced
 from .gf import FieldSpec
-from .matfq import _eliminate, _matmul, _rank_of, beta, random_full_rank
+from .matfq import _eliminate, _matmul, beta, random_full_rank
+from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 
 class KTooLarge(ValueError):
@@ -55,46 +56,36 @@ def block_partition(n: int, k: int) -> BlockPartition:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Per-block indicators of one trial plus their sums.
+    """Per-block indicators of one trial.
 
     x_bits: one-way exchange into each block, y_bits: the reverse
-    direction, z_bits: both, zprime_bits: serial exchangeability.
-    subset_success is None unless the all-subsets search ran.
+    direction, zprime_bits: serial exchangeability.  z_bits (both
+    directions), the sums X, Y, Z, Zprime and block_success (Zprime > 0)
+    are derived from them.  certificate is the first serial block's, at
+    index cert_block.  subset_success is None unless the all-subsets
+    search ran.
     """
 
     x_bits: tuple[int, ...]
     y_bits: tuple[int, ...]
-    z_bits: tuple[int, ...]
     zprime_bits: tuple[int, ...]
-    X: int
-    Y: int
-    Z: int
-    Zprime: int
-    block_success: bool
     subset_success: Optional[bool]
     certificate: Optional[SerialCertificate]
     cert_block: Optional[int]
 
+    z_bits = property(lambda self: tuple(x & y for x, y in zip(self.x_bits, self.y_bits)))
+    X = property(lambda self: sum(self.x_bits))
+    Y = property(lambda self: sum(self.y_bits))
+    Z = property(lambda self: sum(self.z_bits))
+    Zprime = property(lambda self: sum(self.zprime_bits))
+    block_success = property(lambda self: any(self.zprime_bits))
+
     def validate(self) -> None:
-        ell = len(self.x_bits)
-        if not (len(self.y_bits) == len(self.z_bits) == len(self.zprime_bits) == ell):
+        if not len(self.x_bits) == len(self.y_bits) == len(self.zprime_bits):
             raise ValueError("bit vectors have unequal lengths")
-        for i in range(ell):
-            if self.z_bits[i] != (self.x_bits[i] & self.y_bits[i]):
-                raise ValueError(f"z_bits[{i}] != x_bits[{i}] AND y_bits[{i}]")
-            if self.zprime_bits[i] > self.z_bits[i]:
-                raise ValueError(f"zprime_bits[{i}] > z_bits[{i}]")
-        if (self.X, self.Y, self.Z, self.Zprime) != (
-            sum(self.x_bits),
-            sum(self.y_bits),
-            sum(self.z_bits),
-            sum(self.zprime_bits),
-        ):
-            raise ValueError("sums inconsistent with bit vectors")
-        if self.Z < self.X + self.Y - ell:
-            raise ValueError("Z < X + Y - ell")
-        if self.block_success != (self.Zprime > 0):
-            raise ValueError("block_success inconsistent with Zprime")
+        for i, (zp, z) in enumerate(zip(self.zprime_bits, self.z_bits)):
+            if zp > z:
+                raise ValueError(f"zprime_bits[{i}] > z_bits[{i}]: a serial block must be two-way")
 
 
 def derive_rng(seed: int, row: int, trial: int) -> np.random.Generator:
@@ -126,18 +117,19 @@ def right_inverse(r: np.ndarray, c0: np.ndarray, field: FieldSpec) -> Optional[n
 def sample_reduced(rng: np.random.Generator, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(R, C) with the joint law of (M[:k, :], M^-1[:, :k]), M uniform on GL_n(q).
 
-    R is uniform over full-rank k x n matrices.  Given R, C is uniform on
-    {C : R C = I}: C0 is redrawn until R C0 is nonsingular, and
-    right_inverse maps the uniform C0 evenly onto that set.
+    R and C0 are drawn together, uniform, and both are redrawn until R C0
+    is nonsingular.  A rank-deficient R makes R C0 singular, so it is never
+    accepted.  For a full-rank R the map C0 -> R C0 is onto the k x k
+    matrices and hits each one q^(k(n-k)) times, so every full-rank R is
+    accepted with the same chance alpha_k: the accepted R is uniform over
+    full-rank k x n matrices.  Given R, the accepted C0 is uniform on
+    {R C0 nonsingular}, and right_inverse maps it evenly onto {C : R C = I}.
     """
     while True:
-        r = rng.integers(0, field.q, size=(k, n), dtype=np.uint8)
-        if _rank_of(r, field) == k:
-            break
-    while True:
-        c = right_inverse(r, rng.integers(0, field.q, size=(n, k), dtype=np.uint8), field)
+        d = rng.integers(0, field.q, size=(2 * k, n), dtype=np.uint8)
+        c = right_inverse(d[:k], d[k:].T, field)
         if c is not None:
-            return r, c
+            return d[:k], c
 
 
 def run_trial(
@@ -147,17 +139,15 @@ def run_trial(
     field: FieldSpec,
     *,
     exhaustive: bool = False,
-    gate: int = 10**6,
+    gate: int = SUBSET_GATE,
 ) -> TrialOutcome:
     """One trial: sample (R, C) and score every aligned block.
 
     With M = B1^-1 B2 for the modelled bases, vp = R holds the rows of M
     at the marked positions u1 and up = C the columns of M^-1 there; the
-    block tests and the serial search index nothing else.  One prefix
-    table covers every block: its full-size entries are the y and x bits,
-    and the serial search for a block where both hold starts from its
-    row.  With exhaustive set (and the subset count within gate) the
-    all-subsets search also runs.
+    block tests and the serial search index nothing else, and one
+    exchange._scan covers every block.  With exhaustive set (and the
+    subset count within gate) the all-subsets search also runs.
     """
     bp = block_partition(n, k)
     vp, up = sample_reduced(rng, n, k, field)
@@ -166,44 +156,19 @@ def run_trial(
     # block i is vp[:, block] on the one side and up[block, :] on the other
     a = vp[:, :width].reshape(k, bp.ell, k).transpose(1, 0, 2)
     b = up[:width].reshape(bp.ell, k, k)
-    pairs = _outer_pairs(k)
-    table = _prefix_table(a, b, field, pairs)
-    y_bits = [int(v) for v in table[0, :, -1]]
-    x_bits = [int(v) for v in table[1, :, -1]]
-    z_bits = [x & y for x, y in zip(x_bits, y_bits)]
-    zprime_bits = [0] * bp.ell
-    certificate = None
-    cert_block = None
-    both = table.all(axis=0)
-    for i, block in enumerate(bp.blocks):
-        if not z_bits[i]:
-            continue
-        cert = _certificate(a[i], b[i], dict(zip(pairs, both[i])), u1, block, field)
-        if cert is not None:
-            zprime_bits[i] = 1
-            if certificate is None:
-                certificate = cert
-                cert_block = i
+    y_bits, x_bits, certs = _scan(a, b, u1, bp.blocks, field)
+    cert_block = next((i for i, cert in enumerate(certs) if cert is not None), None)
     subset_success = None
     if exhaustive and comb(n, k) <= gate:
-        found = None
-        for cand in combinations(range(n), k):
-            found = _search_reduced(vp, up, u1, tuple(cand), field)
-            if found is not None:
-                break
-        subset_success = found is not None
+        subset_success = any(
+            _search_reduced(vp, up, u1, cand, field) is not None for cand in combinations(range(n), k)
+        )
     outcome = TrialOutcome(
-        x_bits=tuple(x_bits),
-        y_bits=tuple(y_bits),
-        z_bits=tuple(z_bits),
-        zprime_bits=tuple(zprime_bits),
-        X=sum(x_bits),
-        Y=sum(y_bits),
-        Z=sum(z_bits),
-        Zprime=sum(zprime_bits),
-        block_success=sum(zprime_bits) > 0,
+        x_bits=tuple(map(int, x_bits)),
+        y_bits=tuple(map(int, y_bits)),
+        zprime_bits=tuple(int(cert is not None) for cert in certs),
         subset_success=subset_success,
-        certificate=certificate,
+        certificate=None if cert_block is None else certs[cert_block],
         cert_block=cert_block,
     )
     outcome.validate()

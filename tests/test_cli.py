@@ -4,13 +4,17 @@ import argparse
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fqexchange import experiments
 from fqexchange.cli import build_parser, main
+from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, serial_check
+from fqexchange.matfq import read_matrix_text
 from fqexchange.experiments import CSV_COLUMNS
 
 
@@ -267,6 +271,15 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     assert "error:" in err
 
 
+def test_serial_negative_header_exits_2(capsys, tmp_path):
+    path = tmp_path / "neg.mat"
+    path.write_text("3 -5 3\n")
+    code, out, err = run(capsys, "serial", "--b1", str(path), "--b2", str(path), "--x1", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: matrix shape -5 x 3 is negative" in err
+
+
 def test_serial_failure_leaves_no_out_file(capsys, tmp_path):
     m = write_identity(tmp_path / "id3.mat", 3, 3)
     path = tmp_path / "o.txt"
@@ -353,3 +366,78 @@ def test_cli_contract(data):
         assert "FLAG: " in err, argv
     fmt = argv[argv.index("--format") + 1]
     assert all(trials >= 0 and successes >= 0 for trials, successes in _counts(out, fmt)), argv
+
+
+# --- the serial command's contract, on small matrix files ---
+
+
+@st.composite
+def _matrix_text(draw, q, n):
+    """A q-ary n x n matrix in the text format, at times singular or with one defect."""
+    defect = draw(st.sampled_from([None] * 12 + ["shape", "field", "entry", "header", "short"]))
+    m, cols = draw(st.tuples(st.integers(0, 4), st.integers(0, 4))) if defect == "shape" else (n, n)
+    fq = draw(st.sampled_from([2, 3, 4, 6])) if defect == "field" else q
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols), min_size=m, max_size=m))
+    if m == cols and draw(st.integers(0, 3)):  # a row permutation of a unit upper triangular matrix: nonsingular
+        rows = [[1 if i == j else v if j > i else 0 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        rows = draw(st.permutations(rows))
+    if defect == "entry" and m and cols:
+        rows[0][0] = draw(st.sampled_from([q, q + 1, -1]))
+    header = f"{fq} {m} {cols}"
+    if defect == "header":
+        header = draw(st.sampled_from([f"{fq} {m}", f"{fq} {m} {cols} 1", f"{fq} -{m + 1} {cols}", "q m n", ""]))
+    lines = [header] + [" ".join(map(str, row)) for row in rows]
+    if defect == "short":
+        lines = lines[: draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+def _positions(n):
+    """Comma-separated positions: mostly distinct and in range, at times with duplicates, out of range or empty."""
+    fine = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    return (fine | fine | st.lists(st.integers(-1, n + 1), max_size=4)).map(lambda ps: ",".join(map(str, ps)))
+
+
+def _read(path) -> OrderedBasis:
+    with open(path) as fh:
+        return OrderedBasis(read_matrix_text(fh))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_serial_contract(data, tmp_path):
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(1, 5))
+    q2, n2 = q, n
+    if data.draw(st.integers(0, 3)) == 0:  # the second basis over another field or of another rank
+        q2, n2 = data.draw(st.tuples(st.sampled_from([2, 3, 4]), st.integers(1, 5)))
+    where = Path(tempfile.mkdtemp(dir=tmp_path))  # new files: rewriting one in place is slow on some filesystems
+    paths = [where / "b1.mat", where / "b2.mat"]
+    paths[0].write_text(data.draw(_matrix_text(q, n)))
+    paths[1].write_text(data.draw(_matrix_text(q2, n2)))
+    x1, x2 = data.draw(_positions(n)), data.draw(st.none() | _positions(n))
+    argv = ["serial", "--b1", str(paths[0]), "--b2", str(paths[1]), "--x1", x1]
+    argv += [] if x2 is None else ["--x2", x2]
+    argv += ["--mode", data.draw(st.sampled_from(["blocks", "all_subsets"])), "--gate", str(data.draw(st.integers(-1, 12)))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+        assert "error:" in err, argv
+        return
+    if out == "none\n":
+        return
+    *partner, cert = out.splitlines()
+    if x2 is None:
+        assert len(partner) == 1 and partner[0].startswith("partner: "), out
+        x2 = partner[0].split()[1:]
+    else:
+        assert not partner, out
+        x2 = x2.split(",")
+    x1, x2 = tuple(int(p) for p in x1.split(",") if p), tuple(int(p) for p in x2 if p)
+    inst = ExchangeInstance(_read(paths[0]), _read(paths[1]), x1, x2)
+    assert serial_check(inst, SerialCertificate.from_text(cert)), (argv, out)

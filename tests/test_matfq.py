@@ -1,5 +1,6 @@
 """Matrix operations over GF(q), cross-checked against minor-expansion oracles."""
 
+import io
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -439,3 +440,32 @@ def test_matrix_text_entry_out_of_field(tmp_path):
     with open(path) as fh:
         with pytest.raises(ValueError):
             read_matrix_text(fh)
+
+
+class _EndOnce(io.StringIO):
+    """A stream that fails the test when readline is called after it returned ''."""
+
+    ended = False
+
+    def readline(self, *args):
+        assert not self.ended, "readline called again after end of file"
+        line = super().readline(*args)
+        self.ended = line == ""
+        return line
+
+
+@pytest.mark.parametrize("text", ["3 1000000 0", "3 1000000000 0\n", "3 3 2\n0 1\n", "3 2 2\n0 1"])
+def test_matrix_text_stops_at_end_of_file(text):
+    with pytest.raises(ValueError, match="ends after"):
+        read_matrix_text(_EndOnce(text))
+
+
+def test_matrix_text_reads_last_row_without_newline():
+    assert read_matrix_text(_EndOnce("3 2 2\n0 1\n1 0")) == mat(F3, [[0, 1], [1, 0]])
+    assert read_matrix_text(_EndOnce("3 0 0\n")).shape == (0, 0)
+
+
+@pytest.mark.parametrize("header", ["3 -5 3", "3 2 -1", "3 -1 -1"])
+def test_matrix_text_rejects_negative_shape(header):
+    with pytest.raises(ValueError, match="negative"):
+        read_matrix_text(_EndOnce(header + "\n"))

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_completion, ref_det, ref_matmul, ref_search_reduced
+from conftest import ref_completion, ref_det, ref_matmul, ref_rank, ref_search_reduced
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_check, serial_search
 from fqexchange.gf import make_field
 from fqexchange.matfq import MatFq, alpha, rank
 from fqexchange.randmodel import (
     DomainError,
     KTooLarge,
+    TrialOutcome,
     alpha_lower,
     block_partition,
     derive_rng,
@@ -112,25 +113,27 @@ def _gl_law(q, n, k):
 
 @pytest.mark.parametrize("q, n, k", [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 3, 1), (3, 3, 2)])
 def test_right_inverse_law_matches_gl(q, n, k):
-    # exact: right_inverse over every full-rank R and every C0 gives (R, C)
-    # the law of (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
+    # exact: sample_reduced keeps a uniform (R, C0) when right_inverse succeeds;
+    # over every R, rank-deficient ones included, and every C0 the kept
+    # (R, C) have the law of (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
     field = make_field(q)
     gl, gl_size = _gl_law(q, n, k)
-    r_all = sorted({r for r, _ in gl})
-    c0_all = np.array(list(product(range(q), repeat=n * k)), dtype=np.uint8).reshape(-1, n, k)
+
+    def every(rows, cols):
+        return np.array(list(product(range(q), repeat=rows * cols)), dtype=np.uint8).reshape(-1, rows, cols)
+
     sampled = Counter()
-    accepted = Counter()
-    for rb in r_all:
-        r = np.frombuffer(rb, dtype=np.uint8).reshape(k, n)
-        for c0 in c0_all:
+    for r in every(k, n):
+        for c0 in every(n, k):
             c = right_inverse(r, c0, field)
             if c is not None:
-                sampled[rb, c.tobytes()] += 1
-                accepted[rb] += 1
+                sampled[r.tobytes(), c.tobytes()] += 1
+    kept_r = {rb for rb, _ in sampled}
+    assert all(ref_rank(np.frombuffer(rb, dtype=np.uint8).reshape(k, n).tolist(), field) == k for rb in kept_r)
     assert set(sampled) == set(gl)
+    total = sum(sampled.values())
     for key, count in gl.items():
-        want = Fraction(count, gl_size)
-        assert Fraction(sampled[key], len(r_all) * accepted[key[0]]) == want
+        assert Fraction(sampled[key], total) == Fraction(count, gl_size)
 
 
 def test_sample_reduced_shapes_and_identity():
@@ -179,6 +182,15 @@ def test_run_trial_invariants_hold():
         for x, y, z in zip(out.x_bits, out.y_bits, out.z_bits):
             assert z == (x & y)
         assert out.Z >= out.X + out.Y - len(out.x_bits)
+
+
+def test_trial_outcome_validate_rejects_bad_bits():
+    TrialOutcome((1, 0), (1, 1), (1, 0), None, None, None).validate()
+    with pytest.raises(ValueError, match="unequal lengths"):
+        TrialOutcome((1, 0), (1,), (0, 0), None, None, None).validate()
+    # block 1 is serial but only one-way
+    with pytest.raises(ValueError, match="must be two-way"):
+        TrialOutcome((1, 0), (1, 1), (0, 1), None, None, None).validate()
 
 
 def replay_bases(seed, row, t, n, k, field):
