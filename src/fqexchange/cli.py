@@ -34,7 +34,8 @@ def _positive_int(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *, with_n: str | None = None, with_trials: bool = True, k_type=_positive_int) -> None:
     p.add_argument("--q", type=int, required=True, help="field size (prime power)")
-    p.add_argument("--k", type=k_type, required=True, help="exchange set size")
+    if k_type is not None:
+        p.add_argument("--k", type=k_type, required=True, help="exchange set size")
     if with_n == "repeat":
         p.add_argument("--n", type=_positive_int, action="append", required=True, help="rank n (repeatable)")
     elif with_n == "single":
@@ -69,12 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--instances", type=_positive_int, default=500, help="random instances to compare")
 
     p_exh = sub.add_parser("exhaustive", help="witness existence on small instances")
-    p_exh.add_argument("--q", type=int, required=True)
-    p_exh.add_argument("--n", type=int, required=True)
+    _add_common(p_exh, with_n="single", with_trials=False, k_type=None)
     p_exh.add_argument("--pairs", type=_positive_int, default=200, help="sampled basis pairs when not enumerable")
-    p_exh.add_argument("--seed", type=int, default=None)
-    p_exh.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_exh.add_argument("--out", default=None)
 
     p_serial = sub.add_parser("serial", help="decide one instance from matrix files")
     p_serial.add_argument("--b1", required=True, help="first basis, matrix text format")
@@ -148,6 +145,10 @@ def _cmd_trend(args) -> int:
     seed = _resolve_seed(args)
     n_values = tuple(args.n)
     _warn_regime(args.k, n_values)
+    for n in n_values if args.exhaustive else ():
+        if math.comb(n, args.k) > args.gate:
+            print(f"warning: C({n},{args.k}) = {math.comb(n, args.k)} exceeds the subset gate {args.gate}; "
+                  f"no subset_success row for n = {n}", file=sys.stderr)
     config = ExperimentConfig(
         q=args.q, k=args.k, n_values=n_values, trials=args.trials, seed=seed,
         exhaustive=args.exhaustive, gate=args.gate,

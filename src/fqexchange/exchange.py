@@ -4,12 +4,12 @@ Ordered bases are indexed families of column vectors (one n x n full-rank
 matrix), and every replacement is positional: column j of the target is
 overwritten by a designated source column.  With positional semantics a
 repeated vector simply produces a rank-deficient family, so no set
-bookkeeping is needed.  Every prefix replacement of an ordering pair is
-a column map into [B1 | B2]: serial_check gathers the 2k replacements of
-one certificate, the crosscheck oracle those of many ordering pairs, and
-each tests them in one stacked matfq._nonsingular call.  A single
-replacement (arrow) is copied out and stays one rank call, which is
-cheaper than building its column map.
+bookkeeping is needed.  Every full-coordinate question is which swaps of
+positions of B1 with positions of B2 give bases, both ways: _swap_maps
+maps a stack of swaps to columns of [B1 | B2], _swap_bases tests the
+gathered families in one stacked matfq._nonsingular call, and _first_hit
+scans candidates for the first whose swaps all pass (set exchange, and
+with one swap per prefix, serial_check and the crosscheck oracle).
 
 The backtracking searches run in reduced coordinates: row-reducing one
 basis to the identity turns every "is this replacement still a basis"
@@ -25,8 +25,8 @@ the search goes deeper than the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
+from math import comb, prod
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .gf import FieldSpec
 from .matfq import IndexSet, MatFq, _check_index_set, _nonsingular, _rank_of, rank, reduce_against
 
 SUBSET_GATE = 10**6  # default largest C(n, k) an all-subsets search scans
+_SLICE_ENTRIES = 1 << 16  # gathered matrix entries in _first_hit's largest slice
 
 
 class DimensionMismatch(ValueError):
@@ -127,44 +128,60 @@ class SerialCertificate:
         return cls(sigma, tau)
 
 
-def _replaced(bto: OrderedBasis, xto, bfrom: OrderedBasis, xfrom) -> np.ndarray:
-    out = bto.matrix.entries.copy()
-    if len(xto):
-        out[:, list(xto)] = bfrom.matrix.entries[:, list(xfrom)]
-    return out
+def _swap_maps(n: int, x1, x2) -> np.ndarray:
+    """Column maps into [B1 | B2] of swapping x1 of B1 with x2 of B2, both ways.
 
-
-def _prefix_maps(n: int, sigma, tau) -> np.ndarray:
-    """Column maps into [B1 | B2] of the prefix replacements of ordering pairs.
-
-    sigma and tau are (P, k) position arrays, one ordering pair per row.
-    Entry [p, 0, i] lists the columns of B1 with sigma[p, :i+1] replaced by
-    B2's tau[p, :i+1], and [p, 1, i] those of B2 with tau[p, :i+1]
-    replaced by B1's sigma[p, :i+1]; B2's column j is column n + j.
+    x1 and x2 broadcast to (..., s) position arrays.  [..., 0, :] lists B1's
+    columns with x1 replaced by B2's x2 and [..., 1, :] B2's with x2
+    replaced by B1's x1; B2's column j is column n + j.  A position listed
+    twice with the same partner is swapped once, so prefix i of an ordering
+    is the ordering with entry i repeated past i (_prefixes).
     """
-    sigma, tau = np.asarray(sigma, dtype=np.intp), np.asarray(tau, dtype=np.intp)
-    pairs, k = sigma.shape
-    maps = np.empty((pairs, 2, k, n), dtype=np.intp)
-    maps[:, 0], maps[:, 1] = np.arange(n), np.arange(n, 2 * n)
-    step = [i for i in range(k) for _ in range(i + 1)]  # step i swaps positions 0..i
-    pos = [j for i in range(k) for j in range(i + 1)]
-    row = np.arange(pairs)[:, None]
-    maps[row, 0, step, sigma[:, pos]] = n + tau[:, pos]
-    maps[row, 1, step, tau[:, pos]] = sigma[:, pos]
+    x1, x2 = np.asarray(x1, dtype=np.intp), np.asarray(x2, dtype=np.intp)
+    lead = np.broadcast_shapes(x1.shape, x2.shape)[:-1]
+    maps = np.broadcast_to(np.arange(2 * n).reshape(2, n), (*lead, 2, n)).copy()
+    row = np.arange(prod(lead)).reshape(*lead, 1)
+    flat = maps.reshape(-1, 2, n)
+    flat[row, 0, x1] = n + x2
+    flat[row, 1, x2] = x1
     return maps
 
 
-def _prefix_bases(b1: OrderedBasis, b2: OrderedBasis, sigma, tau) -> np.ndarray:
-    """Which prefix replacements of each ordering pair are bases, as a (P, 2k) bool array.
+def _swap_bases(b1: OrderedBasis, b2: OrderedBasis, x1, x2) -> np.ndarray:
+    """Which swaps of _swap_maps are bases, as a (..., 2) bool array.
 
-    Every family is gathered from [B1 | B2] by its column map, transposed
-    (which keeps nonsingularity), and the whole stack goes through one
-    matfq._nonsingular call.
+    Families are gathered as rows of [B1 | B2]^T: transposing keeps nonsingularity.
     """
     n = b1.n
-    maps = _prefix_maps(n, sigma, tau)
+    maps = _swap_maps(n, x1, x2)
     both = np.hstack([b1.matrix.entries, b2.matrix.entries]).T
-    return _nonsingular(both[maps].reshape(-1, n, n), b1.field).reshape(len(maps), -1)
+    return _nonsingular(both[maps].reshape(-1, n, n), b1.field).reshape(maps.shape[:-1])
+
+
+def _prefixes(k: int) -> np.ndarray:
+    """_first_hit's steps for an ordering pair: row i is its prefix i (see _swap_maps)."""
+    return np.minimum.outer(np.arange(k), np.arange(k))
+
+
+def _first_hit(b1: OrderedBasis, b2: OrderedBasis, pairs, steps) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first (x1, x2) of pairs whose swap at every step is a basis both ways, or None.
+
+    pairs yields equal-length position tuples; each row of the index array
+    steps picks one swap out of them (the whole sets, or a prefix).  Pairs
+    go in stacked slices of gathered entries, the first an eighth of
+    _SLICE_ENTRIES and each next twice the last, up to it: an early witness
+    costs one small call, and a list without one few calls.
+    """
+    pairs = iter(pairs)
+    per_pair = 2 * len(steps) * b1.n**2
+    budget = _SLICE_ENTRIES >> 3
+    while chunk := list(islice(pairs, max(1, budget // max(per_pair, 1)))):
+        x = np.array(chunk, dtype=np.intp)  # (len(chunk), 2, s)
+        ok = _swap_bases(b1, b2, x[:, 0, steps], x[:, 1, steps]).reshape(len(chunk), -1).all(axis=1)
+        if ok.any():
+            return chunk[int(ok.argmax())]
+        budget = min(2 * budget, _SLICE_ENTRIES)
+    return None
 
 
 def arrow(bfrom: OrderedBasis, xfrom: IndexSet, bto: OrderedBasis, xto: IndexSet) -> bool:
@@ -173,7 +190,8 @@ def arrow(bfrom: OrderedBasis, xfrom: IndexSet, bto: OrderedBasis, xto: IndexSet
     xto = _check_index_set(xto, bto.n, "target")
     if len(xfrom) != len(xto):
         raise SizeMismatch(f"|xfrom| = {len(xfrom)} but |xto| = {len(xto)}")
-    return _rank_of(_replaced(bto, xto, bfrom, xfrom), bto.field) == bto.n
+    cols = _swap_maps(bto.n, xto, xfrom)[0]
+    return _rank_of(np.hstack([bto.matrix.entries, bfrom.matrix.entries])[:, cols], bto.field) == bto.n
 
 
 def symmetric_partners(b1: OrderedBasis, x: int, b2: OrderedBasis) -> tuple[int, ...]:
@@ -182,11 +200,8 @@ def symmetric_partners(b1: OrderedBasis, x: int, b2: OrderedBasis) -> tuple[int,
     Guaranteed nonempty; an empty result would indicate a bug.
     """
     _check_index_set((x,), b1.n, "x")
-    return tuple(
-        y
-        for y in range(b2.n)
-        if arrow(b2, (y,), b1, (x,)) and arrow(b1, (x,), b2, (y,))
-    )
+    both = _swap_bases(b1, b2, [x], np.arange(b2.n)[:, None]).all(axis=-1)
+    return tuple(int(y) for y in np.flatnonzero(both))
 
 
 def greene_woodall(b1: OrderedBasis, x1: IndexSet, b2: OrderedBasis) -> tuple[int, ...]:
@@ -198,22 +213,19 @@ def greene_woodall(b1: OrderedBasis, x1: IndexSet, b2: OrderedBasis) -> tuple[in
     if not x1:
         raise ValueError("x1 must be nonempty")
     k = len(x1)
-    for cand in combinations(range(b2.n), k):
-        if arrow(b1, x1, b2, cand) and arrow(b2, cand, b1, x1):
-            return cand
-    raise ExhaustedWithoutWitness(
-        f"no {k}-subset of the second basis exchanges with {x1}; this should be impossible"
-    )
+    hit = _first_hit(b1, b2, ((x1, cand) for cand in combinations(range(b2.n), k)), np.arange(k)[None])
+    if hit is None:
+        raise ExhaustedWithoutWitness(
+            f"no {k}-subset of the second basis exchanges with {x1}; this should be impossible"
+        )
+    return hit[1]
 
 
 def serial_check(inst: ExchangeInstance, cert: SerialCertificate) -> bool:
-    """Verify a certificate by building every prefix replacement directly.
-
-    All 2k families are tested in one stacked call.
-    """
+    """Verify a certificate by testing all 2k prefix replacements directly, in one stacked call."""
     if sorted(cert.sigma) != sorted(inst.x1) or sorted(cert.tau) != sorted(inst.x2):
         raise ValueError("certificate orderings do not range over the instance sets")
-    return bool(_prefix_bases(inst.b1, inst.b2, [cert.sigma], [cert.tau]).all())
+    return _first_hit(inst.b1, inst.b2, [(cert.sigma, cert.tau)], _prefixes(inst.k)) is not None
 
 
 def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,8 @@ from .exchange import (
     ExchangeInstance,
     OrderedBasis,
     SerialCertificate,
-    _prefix_bases,
+    _first_hit,
+    _prefixes,
     arrow,
     greene_woodall,
     serial_check,
@@ -45,7 +46,6 @@ from .randmodel import derive_rng, run_trial, sample_ordered_basis, theorem_tail
 _CHUNK = 512
 _MAX_DRAW_BYTES = 1 << 24  # largest (chunk, k, k) uint8 draw an estimate chunk may make
 _MAX_CROSSCHECK_K = 5  # the oracle enumerates (k!)^2 ordering pairs per instance
-_ORACLE_SLICE = 4096  # matrices per stacked call of the crosscheck oracle
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _FLAG_SIGMAS = 4.0
 _TREND_C = _TREND_EPSILON = Fraction(1, 20)  # the theorem_tail constants of the trend's analytic column
@@ -374,20 +374,12 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1) -> Report:
 def _brute_force_serial(inst: ExchangeInstance) -> SerialCertificate | None:
     """Enumerate all (k!)^2 ordering pairs, verifying each directly.
 
-    The prefix replacements of the pairs are tested in stacked slices of at
-    most _ORACLE_SLICE matrices; the first pair, in permutations order,
-    whose every prefix gives a basis on both sides is returned.
+    The first pair, in permutations order, whose every prefix replacement
+    is a basis on both sides; exchange._first_hit tests them in slices.
     """
-    sigmas, taus = (np.array(list(permutations(x))) for x in (inst.x1, inst.x2))
-    count = len(taus)  # k! orderings of each set
-    step = max(1, _ORACLE_SLICE // max(2 * inst.k, 1))
-    for lo in range(0, count * count, step):
-        pair = np.arange(lo, min(lo + step, count * count))
-        sigma, tau = sigmas[pair // count], taus[pair % count]
-        hits = np.flatnonzero(_prefix_bases(inst.b1, inst.b2, sigma, tau).all(axis=1))
-        if hits.size:
-            return SerialCertificate(tuple(map(int, sigma[hits[0]])), tuple(map(int, tau[hits[0]])))
-    return None
+    pairs = product(permutations(inst.x1), permutations(inst.x2))
+    hit = _first_hit(inst.b1, inst.b2, pairs, _prefixes(inst.k))
+    return None if hit is None else SerialCertificate(*hit)
 
 
 def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
@@ -432,11 +424,10 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
                 f"instance {t}: backtracking={'Some' if cert else 'None'} "
                 f"enumeration={'Some' if oracle else 'None'}"
             )
-        if k <= 2:
-            if arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1):
-                two_serial_total += 1
-                if cert is not None:
-                    two_serial_ok += 1
+        if k <= 2 and arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1):
+            two_serial_total += 1
+            if cert is not None:
+                two_serial_ok += 1
     tally = [("serial_oracle_match", matches, instances)]
     if two_serial_total:  # counted for k <= 2 only
         tally.append(("two_serial_certified", two_serial_ok, two_serial_total))
@@ -479,29 +470,25 @@ def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> 
             for _ in range(sample_pairs)
         ]
         mode = "sampled"
-    gw_cases = 0
     gw_ok = 0
-    sym_cases = 0
     sym_ok = 0
     flags = []
     subsets = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
     for b1, b2 in pairs:
         for x1 in subsets:
-            gw_cases += 1
             try:
                 greene_woodall(b1, x1, b2)
                 gw_ok += 1
             except Exception as exc:  # witness guaranteed; any failure is a finding
                 flags.append(f"greene_woodall failed for x1={x1}: {exc}")
         for x in range(n):
-            sym_cases += 1
             if symmetric_partners(b1, x, b2):
                 sym_ok += 1
             else:
                 flags.append(f"symmetric_partners empty for x={x}")
     records = [
-        _record(*t, bounded=False, q=q, n=n, analytic=1.0, seed=seed)
-        for t in (("greene_woodall_witness", gw_ok, gw_cases), ("symmetric_partner_nonempty", sym_ok, sym_cases))
+        _record(name, ok, len(pairs) * cases, bounded=False, q=q, n=n, analytic=1.0, seed=seed)
+        for name, ok, cases in (("greene_woodall_witness", gw_ok, len(subsets)), ("symmetric_partner_nonempty", sym_ok, n))
     ]
     metadata = {"experiment": "exhaustive_small", "mode": mode, "pairs": len(pairs)}
     return Report(records, flags, metadata)

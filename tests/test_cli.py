@@ -206,6 +206,8 @@ def test_trend_rejects_q_above_256(capsys):
         ["verify", "conditional", "--q", "3", "--k", "2", "--n", "-4"],
         ["crosscheck", "--q", "3", "--k", "2", "--n", "0"],
         ["crosscheck", "--q", "3", "--k", "6", "--n", "8"],
+        ["exhaustive", "--q", "3", "--n", "0"],
+        ["exhaustive", "--q", "3", "--n", "-2"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -214,6 +216,22 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_trend_exhaustive_warns_for_each_gated_n(capsys):
+    # n = 80 has C(80, 2) = 3160 subsets, above the gate: its subset row is
+    # left out, and stderr must say so; at gate 3160 every n fits
+    argv = ["trend", "--q", "3", "--k", "2", "--n", "8", "--n", "80", "--trials", "20", "--seed", "1", "--exhaustive"]
+    code, out, err = run(capsys, *argv, "--gate", "100")
+    assert code == 0
+    assert [r.split(",")[:4] for r in out.splitlines() if r.startswith("subset_success")] == [["subset_success", "3", "2", "8"]]
+    assert [line for line in err.splitlines() if "gate" in line] == [
+        "warning: C(80,2) = 3160 exceeds the subset gate 100; no subset_success row for n = 80"
+    ]
+    code, out, err = run(capsys, *argv, "--gate", "3160")
+    assert code == 0
+    assert sum(r.startswith("subset_success") for r in out.splitlines()) == 2
+    assert "gate" not in err
 
 
 def test_crosscheck_k_limit_names_pair_count(capsys):

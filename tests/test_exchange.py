@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_is_basis, ref_search_reduced
+from fqexchange import exchange
 from fqexchange.exchange import (
     DimensionMismatch,
     ExchangeInstance,
@@ -174,6 +175,44 @@ def test_greene_woodall_random_pairs_all_sizes():
         x1 = tuple(sorted(int(v) for v in rng.choice(4, k, replace=False)))
         x2 = greene_woodall(b1, x1, b2)
         assert arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("one_pair_slices", [False, True])
+def test_set_and_symmetric_exchange_match_plain_column_lists(monkeypatch, q, one_pair_slices):
+    # greene_woodall must give the lexicographically least x2 whose set
+    # swap with x1 is a basis both ways, and symmetric_partners exactly the
+    # y whose single swap is; both checked on plain column lists with
+    # ref_is_basis, once with every scanner slice holding one candidate
+    if one_pair_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    later = 0
+    for n in range(1, 6):
+        for _ in range(2):
+            b1, b2 = sample_ordered_basis(rng, n, field), sample_ordered_basis(rng, n, field)
+            cols1, cols2 = ([tuple(c) for c in b.matrix.entries.T.tolist()] for b in (b1, b2))
+            memo = {}
+
+            def two_way(x1, x2):
+                fam1, fam2 = list(cols1), list(cols2)
+                for s, t in zip(x1, x2):
+                    fam1[s], fam2[t] = cols2[t], cols1[s]
+                keys = tuple(sorted(fam1)), tuple(sorted(fam2))  # column order keeps the answer
+                for key in keys:
+                    if key not in memo:
+                        memo[key] = ref_is_basis(list(key), field)
+                return all(memo[key] for key in keys)
+
+            for x in range(n):
+                assert symmetric_partners(b1, x, b2) == tuple(y for y in range(n) if two_way((x,), (y,)))
+            for size in range(1, n + 1):
+                for x1 in combinations(range(n), size):
+                    want = next(x2 for x2 in combinations(range(n), size) if two_way(x1, x2))
+                    assert greene_woodall(b1, x1, b2) == want, (b1, b2, x1)
+                    later += want != tuple(range(size))
+    assert later > 0
 
 
 def test_greene_woodall_rejects_empty():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_is_basis
-from fqexchange import experiments
+from fqexchange import exchange, experiments
 from fqexchange.exchange import ExchangeInstance, SerialCertificate, serial_check
 from fqexchange.experiments import (
     CSV_COLUMNS,
@@ -264,7 +264,7 @@ def test_oracle_matches_plain_prefix_families(monkeypatch, q, k):
     # the (k!)^2 oracle and serial_check against the definition, built
     # without the library kernels: the first ordering pair in permutations
     # order whose every prefix gives a basis on both sides, or None; the
-    # oracle must give it also in slices of three pairs
+    # oracle must give it also when every slice holds one pair
     field = make_field(q)
     rng = np.random.default_rng(100 * q + k)
     n = k + 1 + q % 2
@@ -289,7 +289,7 @@ def test_oracle_matches_plain_prefix_families(monkeypatch, q, k):
                 break
         assert experiments._brute_force_serial(inst) == want
         with monkeypatch.context() as m:
-            m.setattr(experiments, "_ORACLE_SLICE", 6 * k + 1)
+            m.setattr(exchange, "_SLICE_ENTRIES", 1)
             assert experiments._brute_force_serial(inst) == want
         nones += want is None
     assert nones > 0
