@@ -11,15 +11,19 @@ gathered families in one stacked matfq._nonsingular call, and _first_hit
 scans candidates for the first whose swaps all pass (set exchange, and
 with one swap per prefix, serial_check and the crosscheck oracle).
 
-The backtracking searches run in reduced coordinates: row-reducing one
-basis to the identity turns every "is this replacement still a basis"
-question into whether a small square submatrix is nonsingular, which is
-also how the correctness of the reduction is argued (row operations
-preserve independence of column subsets).  The serial search reads those
-answers from a prefix table: for each pair of swapped sets, whether both
-minors are nonsingular, computed for a whole stack of candidates by one
-matfq._nonsingular call and extended, one stacked call per state, where
-the search goes deeper than the table.
+The serial questions run in reduced coordinates: row-reducing one basis
+to the identity turns every "is this replacement still a basis" question
+into whether a small square submatrix is nonsingular, which is also how
+the correctness of the reduction is argued (row operations preserve
+independence of column subsets).  They read those answers from a prefix
+table: for each pair of swapped sets, whether both minors are
+nonsingular, computed for a whole stack of candidates by stacked
+matfq._nonsingular calls.  For k <= 3 the table holds every pair, and a
+candidate is serial exactly when the full pair can be reached through
+valid pairs, one swap per step (_reach), which scores a whole stack at
+once.  The backtracking search, which also yields the certificate, is
+seeded by the table and extends it, one stacked call per state, where it
+goes deeper; for k >= 4 it also gives the serial bits.
 """
 
 from __future__ import annotations
@@ -263,11 +267,11 @@ def _certificate(
     """The first serial ordering in lexicographic position order, or None.
 
     a and b are one candidate's blocks as in _prefix_table, and known maps
-    prefix pairs to their validity on both sides; _scan seeds it.  A state
-    is the pair of sets swapped so far: the other steps out of a state are
-    tested in one stacked call when the search first stands there, and a
-    state that failed once is not searched again, since whether it
-    completes depends on nothing else.
+    prefix pairs to their validity on both sides; a _scan_pairs table seeds
+    it.  A state is the pair of sets swapped so far: the other steps out of
+    a state are tested in one stacked call when the search first stands
+    there, and a state that failed once is not searched again, since
+    whether it completes depends on nothing else.
     """
     k = len(ones)
     full = (1 << k) - 1
@@ -301,30 +305,61 @@ def _certificate(
     return None
 
 
-def _scan(
-    a: np.ndarray, b: np.ndarray, ones: tuple[int, ...], candidates, field: FieldSpec
-) -> tuple[np.ndarray, np.ndarray, list[SerialCertificate | None]]:
-    """The y bits, the x bits and the first certificate of each candidate.
+def _scan_pairs(k: int) -> list[tuple[int, int]]:
+    """The prefix pairs _scan tabulates, by size, the full exchange last.
 
-    a[c] = vp[ones, cand] and b[c] = up[cand, ones] for the sorted
-    candidate cand = candidates[c].  One prefix table holds the pairs
-    (S, T) of swapped-position bitmasks of sizes 1, k - 1 and k (every pair
-    for k <= 3; the search tests the middle sizes only where it reaches
-    them), the full exchange last: its two sides are the y and x bits.
-    The table seeds the serial search of each candidate where both hold;
-    elsewhere the certificate is None.
+    Pairs (S, T) of swapped-position bitmasks of sizes 1, k - 1 and k:
+    every pair for k <= 3; the search tests the middle sizes only where it
+    reaches them.
     """
-    k = len(ones)
     full = (1 << k) - 1
-    rims = sorted({1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)} - {0, full})
-    pairs = [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()] + [(full, full)]
-    table = _prefix_table(a, b, field, pairs)
+    masks = {1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)}
+    rims = sorted(masks - {0, full}, key=lambda m: (m.bit_count(), m))
+    return [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()] + [(full, full)]
+
+
+def _reach(both: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Which candidates reach (full, full) from (0, 0) through pairs valid on both sides.
+
+    both[c, p] is the validity of pairs[p], which must hold every prefix
+    pair, by size.  A serial ordering is such a path, one swap per step,
+    so this is the serial bit.
+    """
+    reach = {(0, 0): np.ones(len(both), dtype=bool)}
+    for p, (s, t) in enumerate(pairs):
+        before = [reach[s ^ 1 << i, t ^ 1 << j] for i in range(s.bit_length()) if s >> i & 1
+                  for j in range(t.bit_length()) if t >> j & 1]
+        reach[s, t] = both[:, p] & np.logical_or.reduce(before)
+    return reach[pairs[-1]]
+
+
+def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The y bits, the x bits and the serial bits of a stack of candidates.
+
+    a[c] = vp[ones, cand] and b[c] = up[cand, ones] are (C, k, k) stacks.
+    One prefix table of the _scan_pairs holds the full exchange last: its
+    two sides are the y and x bits.  It is built in slices of at most
+    _SLICE_ENTRIES gathered entries, which bounds the memory of a large
+    stack.  For k <= 3 it holds every prefix pair and _reach gives the
+    serial bits; for larger k the serial search runs on each candidate
+    where both sides hold, seeded by the table.
+    """
+    k = a.shape[-1]
+    pairs = _scan_pairs(k)
+    step = max(1, _SLICE_ENTRIES // (2 * len(pairs) * k * k))
+    table = np.concatenate(
+        [_prefix_table(a[i:i + step], b[i:i + step], field, pairs) for i in range(0, len(a), step)], axis=1
+    )
     both = table.all(axis=0)
-    certs = [
-        _certificate(a[c], b[c], dict(zip(pairs, both[c])), ones, twos, field) if both[c, -1] else None
-        for c, twos in enumerate(candidates)
-    ]
-    return table[0, :, -1], table[1, :, -1], certs
+    if k <= 3:
+        serial = _reach(both, pairs)
+    else:
+        ones = tuple(range(k))
+        serial = np.array([
+            bool(both[c, -1]) and _certificate(a[c], b[c], dict(zip(pairs, both[c])), ones, ones, field) is not None
+            for c in range(len(a))
+        ], dtype=bool)
+    return table[0, :, -1], table[1, :, -1], serial
 
 
 def _search_reduced(
@@ -339,13 +374,16 @@ def _search_reduced(
     A prefix (sigma, tau) of length i keeps both replacements bases iff
     vp[sigma, tau] and up[tau, sigma] are nonsingular i x i submatrices.
     Pairs are tried in lexicographic position order, so the first
-    certificate found is deterministic.
+    certificate found is deterministic; the _scan_pairs table seeds the
+    search.
     """
     if not x1:
         return SerialCertificate((), ())
     ones, twos = tuple(sorted(x1)), tuple(sorted(x2))
-    _, _, (cert,) = _scan(vp[np.ix_(ones, twos)][None], up[np.ix_(twos, ones)][None], ones, [twos], field)
-    return cert
+    a, b = vp[np.ix_(ones, twos)], up[np.ix_(twos, ones)]
+    pairs = _scan_pairs(len(ones))
+    both = _prefix_table(a[None], b[None], field, pairs).all(axis=0)[0]
+    return _certificate(a, b, dict(zip(pairs, both)), ones, twos, field) if both[-1] else None
 
 
 def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:

@@ -131,30 +131,36 @@ def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_c
     return r
 
 
-def _pivot_rows(stack: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Elimination on a whole (B, k, k) stack at once.
+def _pivot_rows(
+    stack: np.ndarray, field: FieldSpec, size: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination on a whole (B, rows, cols) stack at once.
 
-    In each column every matrix pivots on its own first row that is nonzero
-    there, and that row is eliminated from all rows, itself included: used
-    rows turn to zero and are never chosen again.  Returns which matrices
-    are nonsingular (a matrix with no pivot in some column is not) and the
-    (B, k) pivot row of every column.
+    The leading size x size block A of each matrix (all of a square stack
+    by default) is reduced: in each of its columns every matrix pivots on
+    its own first row of A that is nonzero there, and that row is
+    eliminated from all rows, itself included: used rows turn to zero and
+    are never chosen again.  Returns which A are nonsingular (one with no
+    pivot in some column is not), the (B, size) pivot row of every column,
+    and what the other rows and columns are left holding: the Schur
+    complement D - C A^-1 B of the stack [[A, B], [C, D]].
     """
     a = np.asarray(stack, dtype=np.uint8)
+    size = a.shape[-1] if size is None else size
     ok = np.ones(a.shape[0], dtype=bool)
-    rows = np.zeros(a.shape[:2], dtype=np.intp)
+    rows = np.zeros((a.shape[0], size), dtype=np.intp)
     every = np.arange(a.shape[0])
     add_t, mul_t = field._add, field._mul
     neg_t, inv_t = field._neg, field._inv
-    for c in range(a.shape[-1]):
-        rows[:, c] = (a[:, :, 0] != 0).argmax(axis=1)
+    for c in range(size):
+        rows[:, c] = (a[:, :size, 0] != 0).argmax(axis=1)
         piv = a[every, rows[:, c]]
         ok &= piv[:, 0] != 0
-        if a.shape[-1] == 1:  # the last column: nothing left to eliminate
-            break
+        if a.shape[-1] == 1:  # the last column and nothing carried: nothing left to eliminate
+            return ok, rows, a[:, size:, 1:]
         factors = mul_t[neg_t[a[:, :, 0]], inv_t[piv[:, 0]][:, None]]
         a = add_t[a[:, :, 1:], mul_t[factors[:, :, None], piv[:, None, 1:]]]
-    return ok, rows
+    return ok, rows, a[:, size:]
 
 
 def _nonsingular(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -179,7 +185,7 @@ def _sequential(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
     every leading block is nonsingular exactly when the matrix is and
     column c pivots on row c.
     """
-    ok, rows = _pivot_rows(stack, field)
+    ok, rows, _ = _pivot_rows(stack, field)
     return ok & (rows == np.arange(stack.shape[-1])).all(axis=1)
 
 
@@ -257,18 +263,19 @@ def reduce_against(v: MatFq, u: MatFq) -> MatFq:
 def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Product of two index arrays over GF(q), through the field tables.
 
-    Every term a[i, l] * b[l, j] is looked up at once, zero-padded along l
+    a and b may be stacks with matching leading axes.  Every term
+    a[..., i, l] * b[..., l, j] is looked up at once, zero-padded along l
     to a power of two, and summed by halving, so the table additions take
     log2(inner) vectorized steps.
     """
-    inner = a.shape[1]
+    inner = a.shape[-1]
     width = 1 << max(inner - 1, 0).bit_length()
-    terms = np.zeros((a.shape[0], width, b.shape[1]), dtype=np.uint8)
-    terms[:, :inner] = field._mul[a[:, :, None], b[None, :, :]]
+    terms = np.zeros((*a.shape[:-1], width, b.shape[-1]), dtype=np.uint8)
+    terms[..., :inner, :] = field._mul[a[..., :, :, None], b[..., None, :, :]]
     while width > 1:
         width //= 2
-        terms = field._add[terms[:, :width], terms[:, width:]]
-    return terms[:, 0]
+        terms = field._add[terms[..., :width, :], terms[..., width:, :]]
+    return terms[..., 0, :]
 
 
 # --- text format: first line "q m n", then m rows of element indices ---

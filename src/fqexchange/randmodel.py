@@ -4,9 +4,12 @@ A trial models two independent uniform ordered bases B1 and B2, marks the
 first k positions of B1, and tests each aligned k-block of B2 for one-way,
 two-way, and serial exchangeability.  Every test reads only R, the first k
 rows of M = B1^-1 B2, and C, the first k columns of M^-1, so a trial draws
-that pair directly (see sample_reduced) instead of two n x n bases.
-Trials are pure functions of their generator, and generators are derived
-from (seed, row, trial) so any execution order reproduces the same numbers.
+that pair directly instead of two n x n bases.  Trials go in stacks:
+sample_reduced draws a whole stack from one generator and score_reduced
+scores every block of it at once, so a stack is a pure function of its
+generator and its size; run_trial is a stack of one.  The experiments
+derive one generator per chunk of trials from (seed, row, chunk start),
+so any execution order reproduces the same numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _scan, _search_reduced
 from .gf import FieldSpec
-from .matfq import _eliminate, _matmul, beta, random_full_rank
+from .matfq import _matmul, _pivot_rows, beta, random_full_rank
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 
@@ -89,7 +92,10 @@ class TrialOutcome:
 
 
 def derive_rng(seed: int, row: int, trial: int) -> np.random.Generator:
-    """The fixed seed-splitting rule: one independent stream per (row, trial)."""
+    """The fixed seed-splitting rule: one independent stream per (row, trial).
+
+    A chunk of trials takes the stream of its first trial.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(row, trial))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -99,37 +105,85 @@ def sample_ordered_basis(rng: np.random.Generator, n: int, field: FieldSpec) -> 
     return OrderedBasis(random_full_rank(rng, n, field), validate=False)
 
 
-def right_inverse(r: np.ndarray, c0: np.ndarray, field: FieldSpec) -> Optional[np.ndarray]:
-    """The map (R, C0) -> C0 (R C0)^-1, or None when R C0 is singular.
+def _right_inverses(d: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The map (R, C0) -> C0 (R C0)^-1 on a (B, 2k, n) stack of blocks [R; C0^T].
 
-    The result C satisfies R C = I.  Each such C is the image of exactly
-    the |GL_k| matrices C A with A in GL_k, so a uniform C0 conditioned on
-    R C0 nonsingular gives a uniform C.  Reducing [(R C0)^T | C0^T] until
-    its left block is the identity leaves C^T on the right.
+    Returns which R C0 are nonsingular and the (B, n, k) stack of C, junk
+    where R C0 is singular.  C satisfies R C = I, and C^T solves
+    (R C0)^T C^T = C0^T: it is the Schur complement of (R C0)^T in
+    [[(R C0)^T, C0^T], [-I, 0]], which one stacked elimination leaves.
+    Each such C is the image of exactly the |GL_k| matrices C A with A in
+    GL_k, so a uniform C0 conditioned on R C0 nonsingular gives a uniform C.
     """
-    k = r.shape[0]
-    aug = np.hstack([_matmul(r, c0, field).T, c0.T])
-    if _eliminate(aug, field, reduced=True, stop_col=k) < k:
-        return None
-    return aug[:, k:].T
+    k, n = d.shape[1] // 2, d.shape[2]
+    r, c0t = d[:, :k], d[:, k:]
+    schur = np.zeros((len(d), 2 * k, k + n), dtype=np.uint8)
+    schur[:, :k, :k] = _matmul(c0t, r.transpose(0, 2, 1), field)
+    schur[:, :k, k:] = c0t
+    schur[:, k:, :k] = field._neg[1] * np.eye(k, dtype=np.uint8)
+    ok, _, ct = _pivot_rows(schur, field, k)
+    return ok, ct.transpose(0, 2, 1)
 
 
-def sample_reduced(rng: np.random.Generator, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(R, C) with the joint law of (M[:k, :], M^-1[:, :k]), M uniform on GL_n(q).
+def sample_reduced(
+    rng: np.random.Generator, trials: int, n: int, k: int, field: FieldSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """trials draws of (R, C) with the joint law of (M[:k, :], M^-1[:, :k]), M uniform on GL_n(q).
 
-    R and C0 are drawn together, uniform, and both are redrawn until R C0
-    is nonsingular.  A rank-deficient R makes R C0 singular, so it is never
-    accepted.  For a full-rank R the map C0 -> R C0 is onto the k x k
+    Returns a (trials, k, n) stack of R and a (trials, n, k) stack of C.
+    Each slice draws R and C0 together, uniform, as one (2k, n) block
+    [R; C0^T], and the slices whose R C0 is singular are redrawn, in index
+    order as one stack, until none is: a stack of one draws exactly what a
+    (2k, n) draw would.  A rank-deficient R makes R C0 singular, so it is
+    never accepted.  For a full-rank R the map C0 -> R C0 is onto the k x k
     matrices and hits each one q^(k(n-k)) times, so every full-rank R is
     accepted with the same chance alpha_k: the accepted R is uniform over
     full-rank k x n matrices.  Given R, the accepted C0 is uniform on
-    {R C0 nonsingular}, and right_inverse maps it evenly onto {C : R C = I}.
+    {R C0 nonsingular}, and _right_inverses maps it evenly onto
+    {C : R C = I}.
     """
-    while True:
-        d = rng.integers(0, field.q, size=(2 * k, n), dtype=np.uint8)
-        c = right_inverse(d[:k], d[k:].T, field)
-        if c is not None:
-            return d[:k], c
+    if k > n:
+        raise KTooLarge(f"k = {k} exceeds n = {n}")
+    d = np.empty((trials, 2 * k, n), dtype=np.uint8)
+    c = np.empty((trials, n, k), dtype=np.uint8)
+    todo = np.arange(trials)
+    while todo.size:
+        d[todo] = rng.integers(0, field.q, size=(todo.size, 2 * k, n), dtype=np.uint8)
+        ok, got = _right_inverses(d[todo], field)
+        c[todo[ok]] = got[ok]
+        todo = todo[~ok]
+    return d[:, :k], c
+
+
+def score_reduced(
+    r: np.ndarray, c: np.ndarray, field: FieldSpec, *, exhaustive: bool = False, gate: int = SUBSET_GATE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The x, y and serial bits of every aligned block of every (R, C) of a stack.
+
+    r and c are as sample_reduced returns them: with M = B1^-1 B2 for the
+    modelled bases, R holds the rows of M at the marked positions u1 and C
+    the columns of M^-1 there, and the block tests and the serial search
+    index nothing else.  Every block of every trial goes into one
+    exchange._scan; the bits come back as (trials, ell) bool arrays.  With
+    exhaustive set (and the subset count within gate) the all-subsets
+    search also runs, one trial at a time, giving a (trials,) bool array;
+    otherwise that entry is None.
+    """
+    trials, k, n = r.shape
+    ell = block_partition(n, k).ell
+    width = ell * k
+    # block i of a trial is r[:, block] on the one side and c[block, :] on the other
+    a = r[:, :, :width].reshape(trials, k, ell, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
+    b = c[:, :width].reshape(-1, k, k)
+    y, x, serial = (v.reshape(trials, ell) for v in _scan(a, b, field))
+    subset = None
+    if exhaustive and comb(n, k) <= gate:
+        u1 = tuple(range(k))
+        subset = np.array([
+            any(_search_reduced(vp, up, u1, cand, field) is not None for cand in combinations(range(n), k))
+            for vp, up in zip(r, c)
+        ], dtype=bool)
+    return x, y, serial, subset
 
 
 def run_trial(
@@ -141,34 +195,22 @@ def run_trial(
     exhaustive: bool = False,
     gate: int = SUBSET_GATE,
 ) -> TrialOutcome:
-    """One trial: sample (R, C) and score every aligned block.
+    """One trial: a stack of one through sample_reduced and score_reduced.
 
-    With M = B1^-1 B2 for the modelled bases, vp = R holds the rows of M
-    at the marked positions u1 and up = C the columns of M^-1 there; the
-    block tests and the serial search index nothing else, and one
-    exchange._scan covers every block.  With exhaustive set (and the
-    subset count within gate) the all-subsets search also runs.
+    The certificate, which the stacked scoring does not compute, comes from
+    one serial search on the first serial block.
     """
     bp = block_partition(n, k)
-    vp, up = sample_reduced(rng, n, k, field)
-    u1 = tuple(range(k))
-    width = bp.ell * k
-    # block i is vp[:, block] on the one side and up[block, :] on the other
-    a = vp[:, :width].reshape(k, bp.ell, k).transpose(1, 0, 2)
-    b = up[:width].reshape(bp.ell, k, k)
-    y_bits, x_bits, certs = _scan(a, b, u1, bp.blocks, field)
-    cert_block = next((i for i, cert in enumerate(certs) if cert is not None), None)
-    subset_success = None
-    if exhaustive and comb(n, k) <= gate:
-        subset_success = any(
-            _search_reduced(vp, up, u1, cand, field) is not None for cand in combinations(range(n), k)
-        )
+    r, c = sample_reduced(rng, 1, n, k, field)
+    x_bits, y_bits, serial, subset = score_reduced(r, c, field, exhaustive=exhaustive, gate=gate)
+    cert_block = int(serial[0].argmax()) if serial[0].any() else None
+    cert = None if cert_block is None else _search_reduced(r[0], c[0], tuple(range(k)), bp.blocks[cert_block], field)
     outcome = TrialOutcome(
-        x_bits=tuple(map(int, x_bits)),
-        y_bits=tuple(map(int, y_bits)),
-        zprime_bits=tuple(int(cert is not None) for cert in certs),
-        subset_success=subset_success,
-        certificate=None if cert_block is None else certs[cert_block],
+        x_bits=tuple(map(int, x_bits[0])),
+        y_bits=tuple(map(int, y_bits[0])),
+        zprime_bits=tuple(map(int, serial[0])),
+        subset_success=None if subset is None else bool(subset[0]),
+        certificate=cert,
         cert_block=cert_block,
     )
     outcome.validate()

@@ -258,40 +258,41 @@ def test_criterion_08_trend(trend_rows):
 
 
 def _recheck_trials(q, k, n, seed, count, row=0):
-    """Replay trials and re-derive every bit through the public operations.
+    """Replay the first trials of a run and re-derive every bit through the public operations.
 
-    A trial samples R (the rows u1 of B1^-1 B2) and C (the columns u1 of
-    B2^-1 B1).  The replay takes b1 = I and b2 = M, where M stacks R on a
-    basis of the left null space of C; then B1^-1 B2 = M has rows R and
-    M^-1 has columns C at u1, so every bit of the trial is a property of
-    this basis pair.
+    A run draws each chunk of trials from one generator keyed by the chunk
+    start; every run here has at least _CHUNK trials, so its first chunk
+    is _CHUNK trials long.  A trial samples R (the rows u1 of B1^-1 B2) and
+    C (the columns u1 of B2^-1 B1).  The replay takes b1 = I and b2 = M,
+    where M stacks R on a basis of the left null space of C; then
+    B1^-1 B2 = M has rows R and M^-1 has columns C at u1, so every bit of
+    the trial is a property of this basis pair.
     """
+    from fqexchange.experiments import _CHUNK
+    from fqexchange.randmodel import sample_reduced, score_reduced
+
     fld = make_field(q)
     u1 = tuple(range(k))
     blocks = [tuple(range(i * k, (i + 1) * k)) for i in range(n // k)]
-    from fqexchange.randmodel import run_trial, sample_reduced
-
-    for t in range(count):
-        out = run_trial(derive_rng(seed, row, t), n, k, fld)
-        out.validate()
-        r, c = sample_reduced(derive_rng(seed, row, t), n, k, fld)
+    rs, cs = sample_reduced(derive_rng(seed, row, 0), _CHUNK, n, k, fld)
+    xs, ys, serials, _ = score_reduced(rs, cs, fld)
+    for r, c, x_bits, y_bits, zprime_bits in list(zip(rs, cs, xs, ys, serials))[:count]:
         b1 = OrderedBasis(MatFq(fld, np.eye(n, dtype=np.uint8)))
         b2 = OrderedBasis(MatFq.from_rows(fld, ref_completion(r.tolist(), c.tolist(), fld)))
         for i, block in enumerate(blocks):
-            assert out.x_bits[i] == int(arrow(b1, u1, b2, block))
-            assert out.y_bits[i] == int(arrow(b2, block, b1, u1))
-            assert out.z_bits[i] == (out.x_bits[i] & out.y_bits[i])
+            assert x_bits[i] == arrow(b1, u1, b2, block)
+            assert y_bits[i] == arrow(b2, block, b1, u1)
             cert = serial_search(ExchangeInstance(b1, b2, u1, block))
-            assert out.zprime_bits[i] == int(cert is not None)
-            assert out.zprime_bits[i] <= out.z_bits[i]
-        assert out.Z >= out.X + out.Y - len(blocks)
+            assert zprime_bits[i] == (cert is not None)
+            assert zprime_bits[i] <= (x_bits[i] & y_bits[i])
+        assert (x_bits & y_bits).sum() >= x_bits.sum() + y_bits.sum() - len(blocks)
 
 
 def test_criterion_09_invariants(conditional_report, zprime_report, trend_rows):
-    # every trial in the shared fixtures was validated at construction
-    # (run_trial raises on any violated invariant), so those runs complete
-    # only if zero exceptions occurred; replay a sample through the public
-    # slow path as an independent route
+    # every chunk of the shared fixtures checks that each serial block is
+    # two-way (experiments._trial_chunk raises otherwise), so those runs
+    # complete only if no trial broke it; replay a sample through the
+    # public slow path as an independent route
     _recheck_trials(3, 2, 20, SEED, 30, row=0)   # the n=20 bound run
     _recheck_trials(3, 2, 40, SEED, 15, row=0)   # the n=40 bound run
     _recheck_trials(3, 2, 8, SEED, 10, row=0)    # first trend row

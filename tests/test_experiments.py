@@ -2,7 +2,8 @@
 
 import io
 import json
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_is_basis
+from conftest import ref_is_basis, ref_rank, ref_search_reduced
 from fqexchange import exchange, experiments
-from fqexchange.exchange import ExchangeInstance, SerialCertificate, serial_check
+from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, serial_check
 from fqexchange.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -31,7 +32,8 @@ from fqexchange.experiments import (
     write_json,
 )
 from fqexchange.gf import make_field
-from fqexchange.randmodel import sample_ordered_basis
+from fqexchange.matfq import beta
+from fqexchange.randmodel import derive_rng, sample_ordered_basis, sample_reduced, score_reduced
 
 
 def cfg(**kw):
@@ -187,6 +189,110 @@ def test_trend_report_structure():
     assert [r.name for r in rep.records] == ["block_success", "block_success"]
     assert [r.n for r in rep.records] == [6, 8]
     assert rep.metadata["threshold_basis"] == "pilot-calibrated"
+
+
+# --- trial chunks ---
+
+
+@pytest.mark.parametrize("q, k, n, lo, exhaustive", [
+    (2, 1, 2, 0, False),
+    (3, 2, 8, 512, False),
+    (4, 3, 9, 0, False),
+    (9, 4, 8, 0, False),
+    (3, 2, 7, 0, False),   # k does not divide n
+    (4, 3, 3, 0, False),   # k = n
+    (2, 2, 5, 0, True),    # all-subsets search
+    (9, 3, 7, 1024, True),
+])
+def test_trial_chunk_matches_reference_bits(q, k, n, lo, exhaustive):
+    # the chunk's totals against per-trial bits recomputed from the same
+    # sampled (R, C) stack with ref_rank minors and ref_search_reduced
+    field = make_field(q)
+    seed, row, trials = 37, q, 48
+    got = experiments._trial_chunk((q, k, n, seed, row, lo, lo + trials, exhaustive, SUBSET_GATE))
+    ell = n // k
+    u1 = tuple(range(k))
+    blocks = [tuple(range(i * k, (i + 1) * k)) for i in range(ell)]
+    x_succ, y_succ, z_hist, zz = (np.zeros(m, dtype=np.int64) for m in (ell, ell, ell + 1, ell + 1))
+    hits = subset_hits = 0
+    rs, cs = sample_reduced(derive_rng(seed, row, lo), trials, n, k, field)
+    for r, c in zip(rs.tolist(), cs.tolist()):
+        x = [ref_rank([[c[b][a] for a in u1] for b in block], field) == k for block in blocks]
+        y = [ref_rank([[r[a][b] for b in block] for a in u1], field) == k for block in blocks]
+        serial = [ref_search_reduced(r, c, u1, block, field) is not None for block in blocks]
+        x_succ += x
+        y_succ += y
+        z = sum(a and b for a, b in zip(x, y))
+        z_hist[z] += 1
+        zz[z] += not any(serial)
+        hits += any(serial)
+        if exhaustive:
+            subset_hits += any(ref_search_reduced(r, c, u1, cand, field) for cand in combinations(range(n), k))
+    assert (got.trials, got.block_hits, got.subset_hits, got.subset_ran) == (
+        trials, hits, subset_hits, trials if exhaustive else 0)
+    for name, want in (("x_succ", x_succ), ("y_succ", y_succ), ("z_hist", z_hist), ("zprime_zero_by_z", zz)):
+        assert getattr(got, name).tolist() == want.tolist(), name
+    if 1 < k < n:  # with k = 1, R C = 1 makes some block serial; k = n has one block
+        assert 0 < hits < trials
+
+
+def _every_inverse_pair(q, n, k):
+    """Every (R, C) with R C = I over the prime field GF(q), by mod-q integer arithmetic.
+
+    For each n x k matrix C, row i of R ranges over the vectors v with
+    C^T v = e_i; for a full-rank C each such set has q^(n - k) members.
+    """
+    vecs = np.array(list(product(range(q), repeat=n)), dtype=np.uint8)
+    cs = np.array(list(product(range(q), repeat=n * k)), dtype=np.int64).reshape(-1, n, k)
+    hits = ((np.einsum("cnk,vn->cvk", cs, vecs.astype(np.int64)) % q)[:, :, None, :] == np.eye(k)).all(axis=-1)
+    m = q ** (n - k)
+    full = (hits.sum(axis=1) == m).all(axis=1)
+    cs, hits = cs[full], hits[full]
+    rows = np.stack([np.nonzero(hits[:, :, i])[1].reshape(len(cs), m) for i in range(k)], axis=1)
+    grid = np.array(list(product(range(m), repeat=k)))
+    r = vecs[rows[:, np.arange(k), grid]].reshape(-1, k, n)
+    return r, np.repeat(cs.astype(np.uint8), len(grid), axis=0)
+
+
+# exact counts over every (R, C) with R C = I, each pair one sampler outcome
+# of equal weight: pairs, block successes, the Z histogram, Z' = 0 by Z,
+# and the X and Y sums per block.  Derived twice, once by the chunk scorer
+# and once by ref_search_reduced and ref_det minors over the enumeration.
+EXACT_LAW = {
+    (2, 4, 2): (3360, 1344, [1944, 1344, 72], [1944, 72, 0], [1536, 1536], [1536, 1536]),
+    (3, 4, 2): (505440, 328800, [172800, 270432, 62208], [172800, 3840, 0], [314928, 314928], [314928, 314928]),
+    (2, 6, 2): (999936, 396432, [583200, 365760, 47520, 3456], [583200, 20304, 0, 0], [393216] * 3, [393216] * 3),
+}
+EXACT_SUCCESS = {(2, 4, 2): Fraction(2, 5), (3, 4, 2): Fraction(685, 1053), (2, 6, 2): Fraction(2753, 6944)}
+
+
+@pytest.mark.parametrize("q, n, k", sorted(EXACT_LAW))
+def test_chunk_scorer_reproduces_the_exact_law(q, n, k):
+    field = make_field(q)
+    r, c = _every_inverse_pair(q, n, k)
+    ell = n // k
+    x_sums, y_sums, z_hist, zz = (np.zeros(m, dtype=np.int64) for m in (ell, ell, ell + 1, ell + 1))
+    success = 0
+    for lo in range(0, len(r), 1 << 16):  # bounded memory
+        x, y, serial, _ = score_reduced(r[lo:lo + (1 << 16)], c[lo:lo + (1 << 16)], field)
+        z = (x & y).sum(axis=1)
+        hit = serial.any(axis=1)
+        x_sums += x.sum(axis=0)
+        y_sums += y.sum(axis=0)
+        z_hist += np.bincount(z, minlength=ell + 1)
+        zz += np.bincount(z[~hit], minlength=ell + 1)
+        success += int(hit.sum())
+    pairs, *_ = want = EXACT_LAW[q, n, k]
+    assert (len(r), success, z_hist.tolist(), zz.tolist(), x_sums.tolist(), y_sums.tolist()) == want
+    assert Fraction(success, pairs) == EXACT_SUCCESS[q, n, k]
+    for s in range(ell + 1):
+        if z_hist[s]:
+            assert Fraction(int(zz[s]), int(z_hist[s])) <= (1 - beta(k, q)) ** s
+    # a seeded Monte Carlo run lands within 4 sigma of the exact rate
+    trials = 4000
+    totals = experiments._run_trials(ExperimentConfig(q=q, k=k, n_values=(n,), trials=trials, seed=43), n, 0, 1)
+    p = float(EXACT_SUCCESS[q, n, k])
+    assert abs(totals.block_hits / trials - p) <= 4 * (p * (1 - p) / trials) ** 0.5
 
 
 # --- bound verification ---

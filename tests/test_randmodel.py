@@ -20,8 +20,8 @@ from fqexchange.randmodel import (
     TrialOutcome,
     alpha_lower,
     block_partition,
+    _right_inverses,
     derive_rng,
-    right_inverse,
     run_trial,
     sample_ordered_basis,
     sample_reduced,
@@ -113,7 +113,7 @@ def _gl_law(q, n, k):
 
 @pytest.mark.parametrize("q, n, k", [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 3, 1), (3, 3, 2)])
 def test_right_inverse_law_matches_gl(q, n, k):
-    # exact: sample_reduced keeps a uniform (R, C0) when right_inverse succeeds;
+    # exact: sample_reduced keeps a uniform (R, C0) when _right_inverses succeeds;
     # over every R, rank-deficient ones included, and every C0 the kept
     # (R, C) have the law of (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
     field = make_field(q)
@@ -122,12 +122,11 @@ def test_right_inverse_law_matches_gl(q, n, k):
     def every(rows, cols):
         return np.array(list(product(range(q), repeat=rows * cols)), dtype=np.uint8).reshape(-1, rows, cols)
 
-    sampled = Counter()
-    for r in every(k, n):
-        for c0 in every(n, k):
-            c = right_inverse(r, c0, field)
-            if c is not None:
-                sampled[r.tobytes(), c.tobytes()] += 1
+    rs, c0ts = every(k, n), every(k, n)
+    # one stacked call on every [R; C0^T] block
+    blocks = np.concatenate([np.repeat(rs, len(c0ts), axis=0), np.tile(c0ts, (len(rs), 1, 1))], axis=1)
+    ok, cs = _right_inverses(blocks, field)
+    sampled = Counter((r.tobytes(), c.tobytes()) for r, c in zip(blocks[ok, :k], cs[ok]))
     kept_r = {rb for rb, _ in sampled}
     assert all(ref_rank(np.frombuffer(rb, dtype=np.uint8).reshape(k, n).tolist(), field) == k for rb in kept_r)
     assert set(sampled) == set(gl)
@@ -139,9 +138,9 @@ def test_right_inverse_law_matches_gl(q, n, k):
 def test_sample_reduced_shapes_and_identity():
     for q in (2, 4, 5):
         field = make_field(q)
-        for t in range(5):
-            r, c = sample_reduced(derive_rng(3, q, t), 7, 3, field)
-            assert r.shape == (3, 7) and c.shape == (7, 3)
+        rs, cs = sample_reduced(derive_rng(3, q, 0), 5, 7, 3, field)
+        assert rs.shape == (5, 3, 7) and cs.shape == (5, 7, 3)
+        for r, c in zip(rs, cs):
             assert ref_matmul(r.tolist(), c.tolist(), field) == np.eye(3, dtype=int).tolist()
 
 
@@ -200,7 +199,7 @@ def replay_bases(seed, row, t, n, k, field):
     B1^-1 B2 are R and the columns u1 of B2^-1 B1 are C: every bit of the
     trial is a property of this basis pair.
     """
-    r, c = sample_reduced(derive_rng(seed, row, t), n, k, field)
+    (r,), (c,) = sample_reduced(derive_rng(seed, row, t), 1, n, k, field)
     m = ref_completion(r.tolist(), c.tolist(), field)
     return OrderedBasis(MatFq(field, np.eye(n, dtype=np.uint8))), OrderedBasis(MatFq.from_rows(field, m))
 
@@ -246,7 +245,7 @@ def test_run_trial_matches_reference_dfs(q, n, k):
     u1 = tuple(range(k))
     for t in range(10):
         out = run_trial(derive_rng(29, q, t), n, k, field, exhaustive=True)
-        r, c = sample_reduced(derive_rng(29, q, t), n, k, field)
+        (r,), (c,) = sample_reduced(derive_rng(29, q, t), 1, n, k, field)
         vp, up = r.tolist(), c.tolist()
         first = None
         for i, block in enumerate(block_partition(n, k).blocks):
