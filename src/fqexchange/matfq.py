@@ -95,42 +95,6 @@ def _check_index_set(idx: IndexSet, bound: int, what: str) -> tuple[int, ...]:
     return out
 
 
-def _eliminate(a: np.ndarray, field: FieldSpec, *, reduced: bool = False, stop_col: int | None = None) -> int:
-    """In-place row reduction of one writable index array; returns the rank.
-
-    Pivots on the first nonzero entry of each column (deterministic).
-    Columns at and beyond stop_col are carried along without being
-    pivoted, which is how augmented systems are solved.
-    """
-    rows, cols = a.shape
-    limit = cols if stop_col is None else stop_col
-    add_t, mul_t = field._add, field._mul
-    neg_t, inv_t = field._neg, field._inv
-    r = 0
-    for c in range(limit):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r] = mul_t[inv_t[piv], a[r]]
-        if reduced:
-            sel = np.flatnonzero(a[:, c])
-            sel = sel[sel != r]
-        else:
-            sel = r + 1 + np.flatnonzero(a[r + 1:, c])
-        if sel.size:
-            factors = a[sel, c]
-            a[sel] = add_t[a[sel], mul_t[neg_t[factors][:, None], a[r][None, :]]]
-        r += 1
-    return r
-
-
 def _pivot_rows(
     stack: np.ndarray, field: FieldSpec, size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,14 +104,17 @@ def _pivot_rows(
     by default) is reduced: in each of its columns every matrix pivots on
     its own first row of A that is nonzero there, and that row is
     eliminated from all rows, itself included: used rows turn to zero and
-    are never chosen again.  Returns which A are nonsingular (one with no
-    pivot in some column is not), the (B, size) pivot row of every column,
-    and what the other rows and columns are left holding: the Schur
-    complement D - C A^-1 B of the stack [[A, B], [C, D]].
+    are never chosen again.  A column with no pivot leaves the matrix as
+    it is (its pivot entry is 0 and field._inv[0] == 0, so every factor
+    is 0), so the pivot count of each matrix is the rank of its A.
+    Returns that count, the (B, size) pivot row of every column, and what
+    the other rows and columns are left holding: the Schur complement
+    D - C A^-1 B of the stack [[A, B], [C, D]] where A is nonsingular.
     """
     a = np.asarray(stack, dtype=np.uint8)
     size = a.shape[-1] if size is None else size
-    ok = np.ones(a.shape[0], dtype=bool)
+    # the narrowest type that holds size: adding to it per column costs less than to intp
+    found = np.zeros(a.shape[0], dtype=np.min_scalar_type(size))
     rows = np.zeros((a.shape[0], size), dtype=np.intp)
     every = np.arange(a.shape[0])
     add_t, mul_t = field._add, field._mul
@@ -155,21 +122,41 @@ def _pivot_rows(
     for c in range(size):
         rows[:, c] = (a[:, :size, 0] != 0).argmax(axis=1)
         piv = a[every, rows[:, c]]
-        ok &= piv[:, 0] != 0
+        found += piv[:, 0] != 0
         if a.shape[-1] == 1:  # the last column and nothing carried: nothing left to eliminate
-            return ok, rows, a[:, size:, 1:]
-        factors = mul_t[neg_t[a[:, :, 0]], inv_t[piv[:, 0]][:, None]]
+            return found, rows, a[:, size:, 1:]
+        factors = mul_t[a[:, :, 0], neg_t[inv_t[piv[:, 0]]][:, None]]
         a = add_t[a[:, :, 1:], mul_t[factors[:, :, None], piv[:, None, 1:]]]
-    return ok, rows, a[:, size:]
+    return found, rows, a[:, size:]
 
 
 def _nonsingular(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Which matrices of a (B, k, k) stack are nonsingular, as a bool array."""
-    return _pivot_rows(stack, field)[0]
+    return _pivot_rows(stack, field)[0] == stack.shape[-1]
+
+
+def _solve(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A^-1 B for a (B, m, m) stack a and a (B, m, p) stack b.
+
+    Returns the pivot count (the rank) of each A and the (B, m, p) stack
+    of A^-1 B, junk where A is singular: the Schur complement of A in
+    [[A, B], [-I, 0]], which one stacked elimination leaves.
+    """
+    m = a.shape[-1]
+    aug = np.zeros((len(a), 2 * m, m + b.shape[-1]), dtype=np.uint8)
+    aug[:, :m, :m] = a
+    aug[:, :m, m:] = b
+    aug[:, m:, :m] = field._neg[1] * np.eye(m, dtype=np.uint8)
+    found, _, x = _pivot_rows(aug, field, m)
+    return found, x
 
 
 def _rank_of(entries: np.ndarray, field: FieldSpec) -> int:
-    return _eliminate(entries.copy(), field)
+    """Rank of one matrix: the pivot count of it zero-padded to a square."""
+    side = max(entries.shape)
+    square = np.zeros((1, side, side), dtype=np.uint8)
+    square[0, :entries.shape[0], :entries.shape[1]] = entries
+    return int(_pivot_rows(square, field)[0][0])
 
 
 def rank(m: MatFq) -> int:
@@ -185,8 +172,9 @@ def _sequential(stack: np.ndarray, field: FieldSpec) -> np.ndarray:
     every leading block is nonsingular exactly when the matrix is and
     column c pivots on row c.
     """
-    ok, rows, _ = _pivot_rows(stack, field)
-    return ok & (rows == np.arange(stack.shape[-1])).all(axis=1)
+    found, rows, _ = _pivot_rows(stack, field)
+    k = stack.shape[-1]
+    return (found == k) & (rows == np.arange(k)).all(axis=1)
 
 
 def sequential_full_rank(a: MatFq) -> bool:
@@ -242,9 +230,9 @@ def random_full_rank(rng: np.random.Generator, n: int, field: FieldSpec) -> MatF
 def reduce_against(v: MatFq, u: MatFq) -> MatFq:
     """Row-reduce the concatenation [V | U] until V becomes the identity.
 
-    Returns the transformed right block U' = V^-1 U.  Row operations act on
-    whole rows of the concatenation, so a set of columns of [V | U] is
-    independent exactly when the same columns of [I | U'] are.
+    Returns the transformed right block U' = V^-1 U, from one _solve.  Row
+    operations act on whole rows of the concatenation, so a set of columns
+    of [V | U] is independent exactly when the same columns of [I | U'] are.
     """
     if v.rows != v.cols:
         raise NotSquare(f"left block must be square, got {v.rows}x{v.cols}")
@@ -252,12 +240,10 @@ def reduce_against(v: MatFq, u: MatFq) -> MatFq:
         raise ValueError(f"row counts differ: {v.rows} vs {u.rows}")
     if v.field != u.field:
         raise ValueError("blocks live over different fields")
-    n = v.rows
-    aug = np.hstack([v.entries, u.entries]).copy()
-    r = _eliminate(aug, v.field, reduced=True, stop_col=n)
-    if r < n:
-        raise SingularBasis(f"left block has rank {r} < {n}")
-    return MatFq(v.field, aug[:, n:])
+    found, x = _solve(v.entries[None], u.entries[None], v.field)
+    if found[0] < v.rows:
+        raise SingularBasis(f"left block has rank {found[0]} < {v.rows}")
+    return MatFq(v.field, x[0])
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _scan, _search_reduced
 from .gf import FieldSpec
-from .matfq import _matmul, _pivot_rows, beta, random_full_rank
+from .matfq import _matmul, _solve, beta, random_full_rank
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 
@@ -110,19 +110,14 @@ def _right_inverses(d: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.nda
 
     Returns which R C0 are nonsingular and the (B, n, k) stack of C, junk
     where R C0 is singular.  C satisfies R C = I, and C^T solves
-    (R C0)^T C^T = C0^T: it is the Schur complement of (R C0)^T in
-    [[(R C0)^T, C0^T], [-I, 0]], which one stacked elimination leaves.
-    Each such C is the image of exactly the |GL_k| matrices C A with A in
-    GL_k, so a uniform C0 conditioned on R C0 nonsingular gives a uniform C.
+    (R C0)^T C^T = C0^T: one stacked matfq._solve.  Each such C is the
+    image of exactly the |GL_k| matrices C A with A in GL_k, so a uniform
+    C0 conditioned on R C0 nonsingular gives a uniform C.
     """
-    k, n = d.shape[1] // 2, d.shape[2]
+    k = d.shape[1] // 2
     r, c0t = d[:, :k], d[:, k:]
-    schur = np.zeros((len(d), 2 * k, k + n), dtype=np.uint8)
-    schur[:, :k, :k] = _matmul(c0t, r.transpose(0, 2, 1), field)
-    schur[:, :k, k:] = c0t
-    schur[:, k:, :k] = field._neg[1] * np.eye(k, dtype=np.uint8)
-    ok, _, ct = _pivot_rows(schur, field, k)
-    return ok, ct.transpose(0, 2, 1)
+    found, ct = _solve(_matmul(c0t, r.transpose(0, 2, 1), field), c0t, field)
+    return found == k, ct.transpose(0, 2, 1)
 
 
 def sample_reduced(

@@ -2,14 +2,30 @@
 
 The determinant here is Laplace expansion over verified scalar field ops,
 so rank and independence answers do not reuse the vectorized elimination
-they are checking.
+they are checking.  ref_row_rank is a plain one-matrix row reduction,
+kept beside the library's stacked kernel as a fast rank reference for
+matrices too large for minor expansion.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from fqexchange.gf import FieldSpec
+import numpy as np
+
+from fqexchange.gf import FieldSpec, make_field
+
+
+def accepted_q() -> list[int]:
+    """Every q <= 256 that make_field accepts."""
+    out = []
+    for q in range(2, 257):
+        try:
+            make_field(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
 
 
 def ref_det(entries, field: FieldSpec) -> int:
@@ -44,6 +60,30 @@ def ref_rank(entries, field: FieldSpec) -> int:
                 if ref_det(sub, field) != 0:
                     return r
     return 0
+
+
+def ref_row_rank(entries, field: FieldSpec) -> int:
+    """Rank by row reduction of one matrix, through the field tables.
+
+    Each column pivots on its first nonzero entry at or below the current
+    row; that row is scaled to 1 and cleared from the rows beneath.
+    """
+    a = np.array(entries, dtype=np.uint8)
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        a[[r, p]] = a[[p, r]]
+        a[r] = field._mul[field._inv[a[r, c]], a[r]]
+        below = r + 1 + np.flatnonzero(a[r + 1:, c])
+        a[below] = field._add[a[below], field._mul[field._neg[a[below, c]][:, None], a[r][None, :]]]
+        r += 1
+    return r
 
 
 def ref_is_basis(columns, field: FieldSpec) -> bool:

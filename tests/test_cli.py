@@ -89,6 +89,16 @@ def test_serial_rejects_singular_matrix_file(capsys, tmp_path):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("second", [(3, 3), (2, 2)], ids=["other_field", "other_rank"])
+def test_serial_blocks_mismatched_bases_exit_2(capsys, tmp_path, second):
+    b1 = write_identity(tmp_path / "b1.mat", 2, 3)
+    b2 = write_identity(tmp_path / "b2.mat", *second)
+    code, out, err = run(capsys, "serial", "--b1", b1, "--b2", b2, "--x1", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: bases must share dimension and field" in err
+
+
 def test_regime_warning_exit_zero(capsys):
     code, out, err = run(
         capsys, "trend", "--q", "3", "--k", "3", "--n", "8", "--trials", "5", "--seed", "2"

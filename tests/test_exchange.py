@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_is_basis, ref_search_reduced
+from conftest import accepted_q, ref_is_basis, ref_matmul, ref_search_reduced
 from fqexchange import exchange
 from fqexchange.exchange import (
     DimensionMismatch,
@@ -15,6 +15,7 @@ from fqexchange.exchange import (
     OrderedBasis,
     SerialCertificate,
     SizeMismatch,
+    _reduced_pair,
     _search_reduced,
     arrow,
     find_serial_partner,
@@ -24,7 +25,7 @@ from fqexchange.exchange import (
     symmetric_partners,
 )
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, rank, reduce_against
+from fqexchange.matfq import MatFq, SingularBasis, rank, reduce_against
 from fqexchange.randmodel import derive_rng, sample_ordered_basis
 
 F2 = make_field(2)
@@ -414,6 +415,26 @@ def _reduced_lists(b1, b2):
     vp = reduce_against(b1.matrix, b2.matrix).entries.tolist()
     up = reduce_against(b2.matrix, b1.matrix).entries.tolist()
     return vp, up
+
+
+def test_reduced_pair_halves_are_inverses():
+    # B1^-1 B2 and B2^-1 B1 multiply to the identity, in every field and for n up to 12
+    rng = np.random.default_rng(71)
+    for q in accepted_q():
+        field = make_field(q)
+        for n in range(1, 13):
+            vp, up = (m.tolist() for m in _reduced_pair(*(sample_ordered_basis(rng, n, field) for _ in range(2))))
+            assert ref_matmul(vp, up, field) == np.eye(n, dtype=int).tolist(), (q, n)
+
+
+def test_reduced_pair_checks_its_bases():
+    with pytest.raises(DimensionMismatch):
+        _reduced_pair(std(F2, 3), std(F3, 3))
+    with pytest.raises(DimensionMismatch):
+        _reduced_pair(std(F3, 3), std(F3, 2))
+    singular = OrderedBasis(MatFq(F3, np.array([[1, 2], [2, 1]], dtype=np.uint8)), validate=False)
+    with pytest.raises(SingularBasis):
+        _reduced_pair(std(F3, 2), singular)
 
 
 def _cert_pair(cert):

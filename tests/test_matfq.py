@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_det, ref_matmul, ref_rank
+from conftest import accepted_q, ref_det, ref_matmul, ref_rank, ref_row_rank
 from fqexchange.gf import SUPPORTED_EXTENSIONS, make_field
 from fqexchange.matfq import (
     IndexOutOfRange,
@@ -19,7 +19,6 @@ from fqexchange.matfq import (
     _check_index_set,
     _matmul,
     _nonsingular,
-    _rank_of,
     _sequential,
     alpha,
     beta,
@@ -44,7 +43,7 @@ def mat(field, rows):
 
 
 def test_rank_identity():
-    for n in (1, 3, 6):
+    for n in (1, 3, 6, 300):
         assert rank(MatFq(F3, np.eye(n, dtype=np.uint8))) == n
 
 
@@ -183,18 +182,7 @@ def test_nonsingular_vs_ref_det_mixed_ranks(q, k):
     assert _nonsingular(stack[:0], field).shape == (0,)
 
 
-def _accepted_q():
-    out = []
-    for q in range(2, 257):
-        try:
-            make_field(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
-
-
-@pytest.mark.parametrize("q", _accepted_q())
+@pytest.mark.parametrize("q", accepted_q())
 def test_nonsingular_vs_rank_of_up_to_12(q):
     # the crosscheck oracle stacks n x n prefix families: n = 6 in the
     # benchmark, 10 at k = 5
@@ -202,7 +190,7 @@ def test_nonsingular_vs_rank_of_up_to_12(q):
     rng = np.random.default_rng(q)
     for k in range(1, 13):
         stack = _mixed_rank_stack(rng, field, k, 30)
-        want = [_rank_of(m, field) == k for m in stack]
+        want = [ref_row_rank(m, field) == k for m in stack]
         assert _nonsingular(stack, field).tolist() == want
         assert not any(want[::3])
 
@@ -371,23 +359,27 @@ def test_reduce_against_scaling():
 
 
 def test_reduce_against_singular():
-    v = mat(F3, [[1, 2], [2, 1]])
-    with pytest.raises(SingularBasis):
-        reduce_against(v, MatFq(F3, np.eye(2, dtype=np.uint8)))
+    # the last row of v is a combination of the others, in every field
+    rng = np.random.default_rng(19)
+    for q in accepted_q():
+        field = make_field(q)
+        v = rng.integers(0, q, size=(3, 3), dtype=np.uint8)
+        c0, c1 = (int(x) for x in rng.integers(0, q, size=2))
+        v[2] = [field.add_idx(field.mul_idx(c0, int(x)), field.mul_idx(c1, int(y))) for x, y in zip(v[0], v[1])]
+        with pytest.raises(SingularBasis):
+            reduce_against(MatFq(field, v), MatFq(field, np.eye(3, dtype=np.uint8)))
 
 
 def test_reduce_against_inverse_property():
+    # multiplying back: v @ up == u, in every field and for n up to 12
     rng = np.random.default_rng(23)
-    v = random_full_rank(rng, 4, F3)
-    u = MatFq(F3, rng.integers(0, 3, size=(4, 3), dtype=np.uint8))
-    up = reduce_against(v, u)
-    # multiplying back: v @ up == u, checked entry-wise with scalar ops
-    for i in range(4):
-        for j in range(3):
-            acc = 0
-            for t in range(4):
-                acc = F3.add_idx(acc, F3.mul_idx(int(v.entries[i, t]), int(up.entries[t, j])))
-            assert acc == int(u.entries[i, j])
+    for q in accepted_q():
+        field = make_field(q)
+        for n in (1, 4, 12):
+            v = random_full_rank(rng, n, field)
+            u = MatFq(field, rng.integers(0, q, size=(n, 3), dtype=np.uint8))
+            up = reduce_against(v, u)
+            assert ref_matmul(v.entries.tolist(), up.entries.tolist(), field) == u.entries.tolist(), (q, n)
 
 
 def test_reduce_against_preserves_independence():
