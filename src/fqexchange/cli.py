@@ -218,8 +218,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (NotPrimePower, UnsupportedExtension, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NotPrimePower, UnsupportedExtension, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -15,20 +15,18 @@ The serial questions run in reduced coordinates: row-reducing one basis
 to the identity turns every "is this replacement still a basis" question
 into whether a small square submatrix is nonsingular, which is also how
 the correctness of the reduction is argued (row operations preserve
-independence of column subsets).  They read those answers from a prefix
-table: for each pair of swapped sets, whether both minors are
-nonsingular, computed for a whole stack of candidates by stacked
-matfq._nonsingular calls.  For k <= 3 the table holds every pair, and a
-candidate is serial exactly when the full pair can be reached through
-valid pairs, one swap per step (_reach), which scores a whole stack at
-once.  The backtracking search, which also yields the certificate, is
-seeded by the table and extends it, one stacked call per state, where it
-goes deeper; for k >= 4 it also gives the serial bits.
+independence of column subsets).  A serial ordering is then a path of
+prefix states, one swap per step, whose two minors are nonsingular;
+_levels lists the states by size and _minors_ok tests a stack of them.
+For k <= _SCAN_MAX_K a stack of candidates is decided size by size
+(_reachable); above it, and for every certificate, a backtracking search
+tests each state's children where it stands (_certificate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from math import comb, prod
 
@@ -39,7 +37,8 @@ from .matfq import IndexSet, MatFq, SingularBasis, _check_index_set, _nonsingula
 from .matfq import reduce_against  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 SUBSET_GATE = 10**6  # default largest C(n, k) an all-subsets search scans
-_SLICE_ENTRIES = 1 << 16  # gathered matrix entries in _first_hit's largest slice
+_SLICE_ENTRIES = 1 << 16  # gathered matrix entries in one stacked test: _first_hit's largest slice, _minors_ok's
+_SCAN_MAX_K = 5  # _scan's largest k decided by _reachable; the serial search is faster above (ROADMAP item 5)
 
 
 class DimensionMismatch(ValueError):
@@ -244,58 +243,98 @@ def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.nd
     return vp, up
 
 
-def _prefix_table(a: np.ndarray, b: np.ndarray, field: FieldSpec, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Nonsingularity of the named prefix minors of a stack of candidate blocks.
+@cache
+def _levels(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Every prefix state of a k-block below the full one, by size: entry s is (rows, cols, pred).
 
-    a[c] = vp[x1, x2_c] and b[c] = up[x2_c, x1] are (C, k, k) stacks.
-    Entry [0, c, p] tells whether a[c][S, T] is nonsingular and [1, c, p]
-    whether b[c][T, S] is, for (S, T) = pairs[p].  Row and column order
-    inside a minor only flips its sign, so the sets decide every prefix.
-    Each minor is padded with an identity block to the largest size in
-    pairs, by indexing the block embedded in diag(block, I).
+    A state of size s is the pair (S, T) of s positions swapped so far on
+    each side, as sorted tuples; rows[p] and cols[p] are the p-th state's S
+    and T, states in lexicographic order.  pred[p] lists the indices in
+    entry s - 1 of the s * s states one swap below it.
+    """
+    levels = []
+    index = {((), ()): 0}
+    for s in range(k):
+        sets = list(combinations(range(k), s))
+        states = [(u, v) for u in sets for v in sets]
+        pred = [[index[u[:i] + u[i + 1:], v[:j] + v[j + 1:]] for i in range(s) for j in range(s)] for u, v in states]
+        index = {state: p for p, state in enumerate(states)}
+        rows, cols = (np.array(side, dtype=np.intp).reshape(len(states), s) for side in zip(*states))
+        levels.append((rows, cols, np.array(pred, dtype=np.intp).reshape(len(states), s * s)))
+    return tuple(levels)
+
+
+def _minors_ok(a: np.ndarray, b: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Whether a[c_i][S_i, T_i] and b[c_i][T_i, S_i] are both nonsingular, for each i.
+
+    a and b are (C, k, k) stacks of blocks as in _scan, c indexes them and
+    rows and cols are (N, s) position arrays, S_i = rows[i] and T_i =
+    cols[i].  Row and column order inside a minor only flips its sign, so
+    the sets decide every prefix.  The 2N minors are gathered as they are
+    and tested in slices of at most _SLICE_ENTRIES entries.
+    """
+    s = rows.shape[-1]
+    step = max(1, _SLICE_ENTRIES // (2 * s * s))
+    ok = np.empty(len(c), dtype=bool)
+    for lo in range(0, len(c), step):
+        ci, r, t = c[lo:lo + step, None, None], rows[lo:lo + step], cols[lo:lo + step]
+        minors = np.concatenate([a[ci, r[:, :, None], t[:, None, :]], b[ci, t[:, :, None], r[:, None, :]]])
+        ok[lo:lo + step] = _nonsingular(minors, field).reshape(2, -1).all(axis=0)
+    return ok
+
+
+def _reachable(a: np.ndarray, b: np.ndarray, full: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which candidates reach their full exchange through states valid both ways.
+
+    full tells whose full exchange is valid; only those can be serial.  A
+    serial ordering is a path from the empty state, one swap per step, so
+    sizes 1 .. k - 1 are walked in turn, testing only the states one swap
+    above a reached state; every state of size k - 1 is one swap below the
+    full one.  Candidates go in slices of at most _SLICE_ENTRIES states of
+    the largest size.
     """
     k = a.shape[-1]
-    width = max(s.bit_count() for s, _ in pairs)
-    ext = np.broadcast_to(np.eye(k + width, dtype=np.uint8), (2, len(a), k + width, k + width)).copy()
-    ext[0, :, :k, :k], ext[1, :, :k, :k] = a, b
-    rows, cols = (
-        np.array([[i for i in range(k) if m >> i & 1] + list(range(k + m.bit_count(), k + width)) for m in masks])
-        for masks in zip(*pairs)
-    )
-    minors = np.stack([ext[0][:, rows[:, :, None], cols[:, None, :]], ext[1][:, cols[:, :, None], rows[:, None, :]]])
-    return _nonsingular(minors.reshape(-1, width, width), field).reshape(minors.shape[:3])
+    levels = _levels(k)
+    step = max(1, _SLICE_ENTRIES // max(len(rows) for rows, _, _ in levels))
+    serial = np.zeros(len(a), dtype=bool)
+    live = np.flatnonzero(full)
+    for lo in range(0, len(live), step):
+        cand = live[lo:lo + step]
+        reached = np.ones((len(cand), 1), dtype=bool)
+        for rows, cols, pred in levels[1:]:
+            c, p = np.nonzero(reached[:, pred].any(axis=2))
+            reached = np.zeros((len(cand), len(rows)), dtype=bool)
+            reached[c, p] = _minors_ok(a, b, cand[c], rows[p], cols[p], field)
+        serial[cand] = reached.any(axis=1)
+    return serial
 
 
 def _certificate(
-    a: np.ndarray, b: np.ndarray, known: dict, ones: tuple[int, ...], twos: tuple[int, ...], field: FieldSpec
+    a: np.ndarray, b: np.ndarray, ones: tuple[int, ...], twos: tuple[int, ...], field: FieldSpec
 ) -> SerialCertificate | None:
     """The first serial ordering in lexicographic position order, or None.
 
-    a and b are one candidate's blocks as in _prefix_table, and known maps
-    prefix pairs to their validity on both sides; a _scan_pairs table seeds
-    it.  A state is the pair of sets swapped so far: the other steps out of
-    a state are tested in one stacked call when the search first stands
-    there, and a state that failed once is not searched again, since
-    whether it completes depends on nothing else.
+    a and b are one candidate's blocks as in _scan, whose full exchange is
+    valid both ways.  A state is the pair of position sets swapped so far:
+    its children, one swap above it and all of one size, are tested in one
+    _minors_ok call when the search first stands there, and a state that
+    failed once is not searched again, since whether it completes depends
+    on nothing else.
     """
     k = len(ones)
-    full = (1 << k) - 1
-    sigma: list[int] = []
-    tau: list[int] = []
-    failed = set()
+    sigma, tau, failed = [], [], set()
 
-    def dfs(s: int, t: int) -> bool:
-        if s == full:
+    def dfs(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
+        if len(s) == k:
             return True
         if (s, t) in failed:
             return False
-        steps = [(i, j) for i in range(k) if not s >> i & 1 for j in range(k) if not t >> j & 1]
-        kids = [(s | 1 << i, t | 1 << j) for i, j in steps]
-        todo = [kid for kid in kids if kid not in known]
-        if todo:
-            known.update(zip(todo, _prefix_table(a[None], b[None], field, todo).all(axis=0)[0]))
-        for (i, j), kid in zip(steps, kids):
-            if known[kid]:
+        steps = [(i, j) for i in range(k) if i not in s for j in range(k) if j not in t]
+        kids = [(tuple(sorted((*s, i))), tuple(sorted((*t, j)))) for i, j in steps]
+        rows, cols = (np.array(side, dtype=np.intp) for side in zip(*kids))
+        ok = _minors_ok(a[None], b[None], np.zeros(len(kids), dtype=np.intp), rows, cols, field)
+        for (i, j), kid, good in zip(steps, kids, ok):
+            if good:
                 sigma.append(ones[i])
                 tau.append(twos[j])
                 if dfs(*kid):
@@ -305,66 +344,28 @@ def _certificate(
         failed.add((s, t))
         return False
 
-    if dfs(0, 0):
-        return SerialCertificate(tuple(sigma), tuple(tau))
-    return None
-
-
-def _scan_pairs(k: int) -> list[tuple[int, int]]:
-    """The prefix pairs _scan tabulates, by size, the full exchange last.
-
-    Pairs (S, T) of swapped-position bitmasks of sizes 1, k - 1 and k:
-    every pair for k <= 3; the search tests the middle sizes only where it
-    reaches them.
-    """
-    full = (1 << k) - 1
-    masks = {1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)}
-    rims = sorted(masks - {0, full}, key=lambda m: (m.bit_count(), m))
-    return [(s, t) for s in rims for t in rims if s.bit_count() == t.bit_count()] + [(full, full)]
-
-
-def _reach(both: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Which candidates reach (full, full) from (0, 0) through pairs valid on both sides.
-
-    both[c, p] is the validity of pairs[p], which must hold every prefix
-    pair, by size.  A serial ordering is such a path, one swap per step,
-    so this is the serial bit.
-    """
-    reach = {(0, 0): np.ones(len(both), dtype=bool)}
-    for p, (s, t) in enumerate(pairs):
-        before = [reach[s ^ 1 << i, t ^ 1 << j] for i in range(s.bit_length()) if s >> i & 1
-                  for j in range(t.bit_length()) if t >> j & 1]
-        reach[s, t] = both[:, p] & np.logical_or.reduce(before)
-    return reach[pairs[-1]]
+    return SerialCertificate(tuple(sigma), tuple(tau)) if dfs((), ()) else None
 
 
 def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The y bits, the x bits and the serial bits of a stack of candidates.
 
     a[c] = vp[ones, cand] and b[c] = up[cand, ones] are (C, k, k) stacks.
-    One prefix table of the _scan_pairs holds the full exchange last: its
-    two sides are the y and x bits.  It is built in slices of at most
-    _SLICE_ENTRIES gathered entries, which bounds the memory of a large
-    stack.  For k <= 3 it holds every prefix pair and _reach gives the
-    serial bits; for larger k the serial search runs on each candidate
-    where both sides hold, seeded by the table.
+    The y and x bits are the nonsingularity of the full blocks.  For
+    k <= _SCAN_MAX_K the size-by-size _reachable gives the serial bits of
+    the whole stack; for larger k the serial search runs on each candidate
+    whose full exchange is valid both ways.
     """
     k = a.shape[-1]
-    pairs = _scan_pairs(k)
-    step = max(1, _SLICE_ENTRIES // (2 * len(pairs) * k * k))
-    table = np.concatenate(
-        [_prefix_table(a[i:i + step], b[i:i + step], field, pairs) for i in range(0, len(a), step)], axis=1
-    )
-    both = table.all(axis=0)
-    if k <= 3:
-        serial = _reach(both, pairs)
+    y, x = _nonsingular(a, field), _nonsingular(b, field)
+    full = x & y
+    if k <= _SCAN_MAX_K:
+        serial = _reachable(a, b, full, field)
     else:
         ones = tuple(range(k))
-        serial = np.array([
-            bool(both[c, -1]) and _certificate(a[c], b[c], dict(zip(pairs, both[c])), ones, ones, field) is not None
-            for c in range(len(a))
-        ], dtype=bool)
-    return table[0, :, -1], table[1, :, -1], serial
+        serial = np.array([bool(full[c]) and _certificate(a[c], b[c], ones, ones, field) is not None
+                           for c in range(len(a))], dtype=bool)
+    return y, x, serial
 
 
 def _search_reduced(
@@ -379,16 +380,13 @@ def _search_reduced(
     A prefix (sigma, tau) of length i keeps both replacements bases iff
     vp[sigma, tau] and up[tau, sigma] are nonsingular i x i submatrices.
     Pairs are tried in lexicographic position order, so the first
-    certificate found is deterministic; the _scan_pairs table seeds the
-    search.
+    certificate found is deterministic.
     """
     if not x1:
         return SerialCertificate((), ())
     ones, twos = tuple(sorted(x1)), tuple(sorted(x2))
     a, b = vp[np.ix_(ones, twos)], up[np.ix_(twos, ones)]
-    pairs = _scan_pairs(len(ones))
-    both = _prefix_table(a[None], b[None], field, pairs).all(axis=0)[0]
-    return _certificate(a, b, dict(zip(pairs, both)), ones, twos, field) if both[-1] else None
+    return _certificate(a, b, ones, twos, field) if _nonsingular(np.stack([a, b]), field).all() else None
 
 
 def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:

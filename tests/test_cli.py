@@ -317,6 +317,24 @@ def test_serial_failure_leaves_no_out_file(capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["trend", "--q", "3", "--k", "1", "--n", "4", "--trials", "8"],
+    ["verify", "zprime", "--q", "3", "--k", "2", "--n", "4", "--trials", "8"],
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 3.58 GiB for an array", ""])
+def test_chunk_out_of_memory_exits_2_without_out_file(capsys, monkeypatch, tmp_path, argv, message):
+    # a chunk too large to allocate ends in the error line, not a traceback with exit 1
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "sample_reduced", no_memory)
+    path = tmp_path / "o.csv"
+    code, out, err = run(capsys, *argv, "--seed", "1", "--jobs", "1", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {message or 'MemoryError'}"
+    assert not path.exists()
+
+
 # --- the CLI contract, on argv built from the parser's own options ---
 
 # In-range values; at most one option per argv instead takes a small int

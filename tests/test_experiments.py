@@ -203,6 +203,9 @@ def test_trend_report_structure():
     (4, 3, 3, 0, False),   # k = n
     (2, 2, 5, 0, True),    # all-subsets search
     (9, 3, 7, 1024, True),
+    (3, 5, 7, 0, False),   # the largest k of the size-by-size scan
+    (2, 6, 8, 0, False),   # the smallest k of the per-block search
+    (3, 6, 12, 512, False),
 ])
 def test_trial_chunk_matches_reference_bits(q, k, n, lo, exhaustive):
     # the chunk's totals against per-trial bits recomputed from the same
@@ -234,6 +237,12 @@ def test_trial_chunk_matches_reference_bits(q, k, n, lo, exhaustive):
         assert getattr(got, name).tolist() == want.tolist(), name
     if 1 < k < n:  # with k = 1, R C = 1 makes some block serial; k = n has one block
         assert 0 < hits < trials
+
+
+def test_trial_chunk_matches_reference_bits_in_unit_slices(monkeypatch):
+    # every candidate slice of the scan and every minor slice holds one entry
+    monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    test_trial_chunk_matches_reference_bits(3, 5, 7, 0, False)
 
 
 def _every_inverse_pair(q, n, k):
