@@ -7,9 +7,11 @@ repeated vector simply produces a rank-deficient family, so no set
 bookkeeping is needed.  Every full-coordinate question is which swaps of
 positions of B1 with positions of B2 give bases, both ways: _swap_maps
 maps a stack of swaps to columns of [B1 | B2], _swap_bases tests the
-gathered families in one stacked matfq._nonsingular call, and _first_hit
-scans candidates for the first whose swaps all pass (set exchange, and
-with one swap per prefix, serial_check and the crosscheck oracle).
+gathered families of a stack of basis pairs in one stacked
+matfq._nonsingular call, and _first_hit scans candidates for each pair's
+first whose swaps all pass (set exchange, and with one swap per prefix,
+serial_check and the crosscheck oracle).  It scans a whole stack of
+pairs at once; a single pair is a stack of one.
 
 The serial questions run in reduced coordinates: row-reducing one basis
 to the identity turns every "is this replacement still a basis" question
@@ -21,6 +23,8 @@ _levels lists the states by size and _minors_ok tests a stack of them.
 For k <= _SCAN_MAX_K a stack of candidates is decided size by size
 (_reachable); above it, and for every certificate, a backtracking search
 tests each state's children where it stands (_certificate).
+_search_stack finds the certificates of a stack of instances: one
+stacked test of their full blocks, then the search where both pass.
 """
 
 from __future__ import annotations
@@ -151,15 +155,25 @@ def _swap_maps(n: int, x1, x2) -> np.ndarray:
     return maps
 
 
-def _swap_bases(b1: OrderedBasis, b2: OrderedBasis, x1, x2) -> np.ndarray:
+def _columns(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The rows of [B1 | B2]^T for bases B1 = m1 and B2 = m2, or for stacks of them.
+
+    Families are gathered as rows: transposing keeps nonsingularity.
+    """
+    return np.concatenate([m1, m2], axis=-1).swapaxes(-1, -2)
+
+
+def _swap_bases(cols: np.ndarray, pair: np.ndarray, x1, x2, field: FieldSpec) -> np.ndarray:
     """Which swaps of _swap_maps are bases, as a (..., 2) bool array.
 
-    Families are gathered as rows of [B1 | B2]^T: transposing keeps nonsingularity.
+    cols is a (B, 2n, n) stack of _columns, and the index array pair,
+    shaped like x1 and x2 without their last axis, names the basis pair
+    each swap is made in.
     """
-    n = b1.n
+    n = cols.shape[-1]
     maps = _swap_maps(n, x1, x2)
-    both = np.hstack([b1.matrix.entries, b2.matrix.entries]).T
-    return _nonsingular(both[maps].reshape(-1, n, n), b1.field).reshape(maps.shape[:-1])
+    fams = cols.reshape(-1, n)[maps + (2 * n * pair)[..., None, None]]
+    return _nonsingular(fams.reshape(-1, n, n), field).reshape(maps.shape[:-1])
 
 
 def _prefixes(k: int) -> np.ndarray:
@@ -167,25 +181,49 @@ def _prefixes(k: int) -> np.ndarray:
     return np.minimum.outer(np.arange(k), np.arange(k))
 
 
-def _first_hit(b1: OrderedBasis, b2: OrderedBasis, pairs, steps) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The first (x1, x2) of pairs whose swap at every step is a basis both ways, or None.
+def _first_hit(
+    cols: np.ndarray, ones: np.ndarray, twos: np.ndarray, pairs, steps: np.ndarray, field: FieldSpec
+) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Each basis pair's first candidate whose swap at every step is a basis both ways, or None.
 
-    pairs yields equal-length position tuples; each row of the index array
-    steps picks one swap out of them (the whole sets, or a prefix).  Pairs
-    go in stacked slices of gathered entries, the first an eighth of
-    _SLICE_ENTRIES and each next twice the last, up to it: an early witness
-    costs one small call, and a list without one few calls.
+    cols is a (B, 2n, n) stack of _columns and ones and twos are (B, a)
+    and (B, b) position arrays.  pairs yields candidates (u, v), index
+    tuples of one length s: in basis pair i the candidate swaps positions
+    ones[i, u] of B1 with twos[i, v] of B2.  Each row of the index array
+    steps picks one swap out of them (the whole sets, or a prefix).
+
+    Candidates go in lexicographic slices, one slice for every pair still
+    without a hit, and a pair leaves the stack at its first hit.  A slice
+    holds as many candidates as fit a budget of gathered entries per pair
+    left, the first budget an eighth of _SLICE_ENTRIES and each next twice
+    the last, up to it: an early witness costs one small call, and a list
+    without one few calls.  Each slice is tested in stacked calls of at
+    most _SLICE_ENTRIES gathered entries.  Returns each pair's hit as the
+    position tuples (ones[i, u], twos[i, v]).
     """
     pairs = iter(pairs)
-    per_pair = 2 * len(steps) * b1.n**2
+    per_pair = max(2 * len(steps) * cols.shape[-1] ** 2, 1)
+    hits = [None] * len(cols)
+    live = np.arange(len(cols))
     budget = _SLICE_ENTRIES >> 3
-    while chunk := list(islice(pairs, max(1, budget // max(per_pair, 1)))):
-        x = np.array(chunk, dtype=np.intp)  # (len(chunk), 2, s)
-        ok = _swap_bases(b1, b2, x[:, 0, steps], x[:, 1, steps]).reshape(len(chunk), -1).all(axis=1)
-        if ok.any():
-            return chunk[int(ok.argmax())]
+    while live.size and (chunk := list(islice(pairs, max(1, budget // (per_pair * live.size))))):
+        u = np.array([cand[0] for cand in chunk], dtype=np.intp)
+        v = np.array([cand[1] for cand in chunk], dtype=np.intp)
+        at = live[:, None, None]
+        x1, x2 = ones[at, u], twos[at, v]  # (live, len(chunk), s)
+        s1, s2 = x1[:, :, steps], x2[:, :, steps]
+        group = max(1, _SLICE_ENTRIES // (per_pair * len(chunk)))  # pairs per stacked call
+        ok = np.concatenate([
+            _swap_bases(cols, at[lo:lo + group], s1[lo:lo + group], s2[lo:lo + group], field)
+            for lo in range(0, live.size, group)
+        ]).all(axis=(2, 3))
+        found = ok.any(axis=1)
+        for i in np.flatnonzero(found):
+            c = int(ok[i].argmax())
+            hits[live[i]] = (tuple(x1[i, c].tolist()), tuple(x2[i, c].tolist()))
+        live = live[~found]
         budget = min(2 * budget, _SLICE_ENTRIES)
-    return None
+    return hits
 
 
 def arrow(bfrom: OrderedBasis, xfrom: IndexSet, bto: OrderedBasis, xto: IndexSet) -> bool:
@@ -204,7 +242,8 @@ def symmetric_partners(b1: OrderedBasis, x: int, b2: OrderedBasis) -> tuple[int,
     Guaranteed nonempty; an empty result would indicate a bug.
     """
     _check_index_set((x,), b1.n, "x")
-    both = _swap_bases(b1, b2, [x], np.arange(b2.n)[:, None]).all(axis=-1)
+    cols = _columns(b1.matrix.entries, b2.matrix.entries)[None]
+    both = _swap_bases(cols, np.zeros(b2.n, dtype=np.intp), [x], np.arange(b2.n)[:, None], b1.field).all(axis=-1)
     return tuple(int(y) for y in np.flatnonzero(both))
 
 
@@ -217,7 +256,9 @@ def greene_woodall(b1: OrderedBasis, x1: IndexSet, b2: OrderedBasis) -> tuple[in
     if not x1:
         raise ValueError("x1 must be nonempty")
     k = len(x1)
-    hit = _first_hit(b1, b2, ((x1, cand) for cand in combinations(range(b2.n), k)), np.arange(k)[None])
+    cols = _columns(b1.matrix.entries, b2.matrix.entries)[None]
+    cands = ((range(k), cand) for cand in combinations(range(b2.n), k))
+    hit = _first_hit(cols, np.array([x1]), np.arange(b2.n)[None], cands, np.arange(k)[None], b1.field)[0]
     if hit is None:
         raise ExhaustedWithoutWitness(
             f"no {k}-subset of the second basis exchanges with {x1}; this should be impossible"
@@ -229,18 +270,26 @@ def serial_check(inst: ExchangeInstance, cert: SerialCertificate) -> bool:
     """Verify a certificate by testing all 2k prefix replacements directly, in one stacked call."""
     if sorted(cert.sigma) != sorted(inst.x1) or sorted(cert.tau) != sorted(inst.x2):
         raise ValueError("certificate orderings do not range over the instance sets")
-    return _first_hit(inst.b1, inst.b2, [(cert.sigma, cert.tau)], _prefixes(inst.k)) is not None
+    cols = _columns(inst.b1.matrix.entries, inst.b2.matrix.entries)[None]
+    sigma, tau = (np.array([order], dtype=np.intp) for order in (cert.sigma, cert.tau))
+    whole = [(range(inst.k), range(inst.k))]
+    return _first_hit(cols, sigma, tau, whole, _prefixes(inst.k), inst.b1.field)[0] is not None
+
+
+def _reduced_pairs(m1: np.ndarray, m2: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each basis in the other's coordinates, (B1^-1 B2, B2^-1 B1), for (B, n, n) stacks, from one _solve."""
+    found, x = _solve(np.concatenate([m1, m2]), np.concatenate([m2, m1]), field)
+    if (found < m1.shape[-1]).any():
+        raise SingularBasis(f"basis has rank {found.min()} < {m1.shape[-1]}")
+    return x[:len(m1)], x[len(m1):]
 
 
 def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Each basis expressed in the other's coordinates: (B1^-1 B2, B2^-1 B1), from one _solve."""
+    """_reduced_pairs of one basis pair."""
     if b1.n != b2.n or b1.field != b2.field:
         raise DimensionMismatch("bases must share dimension and field")
-    both = np.stack([b1.matrix.entries, b2.matrix.entries])
-    found, (vp, up) = _solve(both, both[::-1], b1.field)
-    if (found < b1.n).any():
-        raise SingularBasis(f"basis has rank {found.min()} < {b1.n}")
-    return vp, up
+    vp, up = _reduced_pairs(b1.matrix.entries[None], b2.matrix.entries[None], b1.field)
+    return vp[0], up[0]
 
 
 @cache
@@ -368,6 +417,26 @@ def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, n
     return y, x, serial
 
 
+def _search_stack(
+    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec
+) -> list[SerialCertificate | None]:
+    """Backtracking search for serial orderings, in reduced coordinates, for a stack of instances.
+
+    vp and up are (B, n, n) stacks and x1 and x2 (B, k) arrays of sorted
+    positions.  A prefix (sigma, tau) of length i keeps both replacements
+    bases iff vp[sigma, tau] and up[tau, sigma] are nonsingular i x i
+    submatrices.  Both full blocks of every instance are tested in one
+    stacked call, and the search runs where both pass.  Pairs are tried
+    in lexicographic position order, so the first certificate found is
+    deterministic.
+    """
+    i = np.arange(len(vp))[:, None, None]
+    a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+    full = _nonsingular(np.concatenate([a, b]), field).reshape(2, -1).all(axis=0)
+    return [_certificate(a[t], b[t], tuple(x1[t].tolist()), tuple(x2[t].tolist()), field) if full[t] else None
+            for t in range(len(vp))]
+
+
 def _search_reduced(
     vp: np.ndarray,
     up: np.ndarray,
@@ -375,18 +444,9 @@ def _search_reduced(
     x2: tuple[int, ...],
     field: FieldSpec,
 ) -> SerialCertificate | None:
-    """Backtracking search for serial orderings, in reduced coordinates.
-
-    A prefix (sigma, tau) of length i keeps both replacements bases iff
-    vp[sigma, tau] and up[tau, sigma] are nonsingular i x i submatrices.
-    Pairs are tried in lexicographic position order, so the first
-    certificate found is deterministic.
-    """
-    if not x1:
-        return SerialCertificate((), ())
-    ones, twos = tuple(sorted(x1)), tuple(sorted(x2))
-    a, b = vp[np.ix_(ones, twos)], up[np.ix_(twos, ones)]
-    return _certificate(a, b, ones, twos, field) if _nonsingular(np.stack([a, b]), field).all() else None
+    """_search_stack of one instance, whose position tuples need not be sorted."""
+    ones, twos = (np.array([sorted(x)], dtype=np.intp) for x in (x1, x2))
+    return _search_stack(vp[None], up[None], ones, twos, field)[0]
 
 
 def serial_search(inst: ExchangeInstance) -> SerialCertificate | None:

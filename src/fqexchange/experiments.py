@@ -5,7 +5,9 @@ in fixed chunks of _CHUNK trials, each drawn from one generator keyed by
 (seed, row, its first trial) and scored as one stack, chunks combine in a
 fixed order, and record emission is sorted, so reruns reproduce
 byte-identical CSV and JSON.  Worker processes only change wall time,
-never output.
+never output.  The crosscheck draws each instance from its own generator,
+(seed, 0, instance), and runs chunks of instances as stacks: generators
+in lockstep, so how instances are chunked never changes what they draw.
 
 Flag convention: a bound comparison is flagged when the empirical value
 falls more than four standard errors (computed at the bound) on the wrong
@@ -29,25 +31,26 @@ import numpy as np
 
 from .exchange import (
     SUBSET_GATE,
-    ExchangeInstance,
     OrderedBasis,
     SerialCertificate,
+    _columns,
     _first_hit,
     _prefixes,
-    arrow,
+    _reduced_pairs,
+    _search_stack,
     greene_woodall,
-    serial_check,
-    serial_search,
     symmetric_partners,
 )
+from .exchange import serial_check  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 from .gf import make_field
-from .matfq import MatFq, _nonsingular, _sequential, alpha, beta, nonsingular_count
+from .matfq import MatFq, _nonsingular, _sequential, alpha, beta, nonsingular_count, random_full_ranks
 from .randmodel import derive_rng, sample_ordered_basis, sample_reduced, score_reduced, theorem_tail, zprime_zero_bound
 from .randmodel import run_trial  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 _CHUNK = 512
 _MAX_DRAW_BYTES = 1 << 24  # largest (chunk, k, k) uint8 draw an estimate chunk may make
 _MAX_CROSSCHECK_K = 5  # the oracle enumerates (k!)^2 ordering pairs per instance
+_CROSSCHECK_CHUNK = 256  # instances per crosscheck stack; 512 cost 1.3 MB more peak RSS at (3, 3, 6), no less time
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _FLAG_SIGMAS = 4.0
 _TREND_C = _TREND_EPSILON = Fraction(1, 20)  # the theorem_tail constants of the trend's analytic column
@@ -362,25 +365,34 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1) -> Report:
 # --- oracle cross-checks ---
 
 
-def _brute_force_serial(inst: ExchangeInstance) -> SerialCertificate | None:
-    """Enumerate all (k!)^2 ordering pairs, verifying each directly.
+def _brute_force_serial(cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, field) -> list[SerialCertificate | None]:
+    """Enumerate all (k!)^2 ordering pairs of each instance of a stack, verifying each directly.
 
-    The first pair, in permutations order, whose every prefix replacement
-    is a basis on both sides; exchange._first_hit tests them in slices.
+    cols is a (B, 2n, n) stack of exchange._columns and x1 and x2 (B, k)
+    position arrays.  Gives each instance's first pair, in permutations
+    order, whose every prefix replacement is a basis on both sides;
+    exchange._first_hit scans the whole stack, in slices.
     """
-    pairs = product(permutations(inst.x1), permutations(inst.x2))
-    hit = _first_hit(inst.b1, inst.b2, pairs, _prefixes(inst.k))
-    return None if hit is None else SerialCertificate(*hit)
+    orders = list(permutations(range(x1.shape[-1])))
+    hits = _first_hit(cols, x1, x2, product(orders, orders), _prefixes(x1.shape[-1]), field)
+    return [None if hit is None else SerialCertificate(*hit) for hit in hits]
 
 
 def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     """Backtracking verdicts against exhaustive ordering enumeration.
 
     k is at most 5, since the enumeration costs (k!)^2 per instance.
-    For k <= 2 it also counts the two-way exchangeable pairs and, among
-    them, the serially certified ones, and flags the shortfall against the
-    claim that every two-way exchangeable pair is serially exchangeable.
-    That claim is false (see README), so a flag here is a finding, not a bug.
+    Instance t draws from its own generator, derive_rng(seed, 0, t): two
+    bases, then x1 and x2.  Instances go in chunks of at most
+    _CROSSCHECK_CHUNK, and each step of a chunk is a stacked array
+    program: the bases by lockstep rejection sampling, every reduced pair
+    in one solve, the backtracking search where both full blocks pass,
+    and the certificate checks, the enumeration and the two-way test each
+    one exchange._first_hit scan over the chunk.  For k <= 2 it also
+    counts the two-way exchangeable pairs and, among them, the serially
+    certified ones, and flags the shortfall against the claim that every
+    two-way exchangeable pair is serially exchangeable.  That claim is false (see
+    README), so a flag here is a finding, not a bug.
     """
     k = config.k
     if k > _MAX_CROSSCHECK_K:
@@ -390,35 +402,48 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
         )
     n = config.n_values[0]
     fld = make_field(config.q)
+    whole = [(range(k), range(k))]  # the one candidate of a fixed pair of position lists
     mismatches = []
     matches = 0
     unsound = 0
     two_serial_total = 0
     two_serial_ok = 0
-    for t in range(instances):
-        rng = derive_rng(config.seed, 0, t)
-        b1 = sample_ordered_basis(rng, n, fld)
-        b2 = sample_ordered_basis(rng, n, fld)
-        x1 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-        x2 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-        inst = ExchangeInstance(b1, b2, x1, x2)
-        cert = serial_search(inst)
-        if cert is not None and not serial_check(inst, cert):
-            unsound += 1
-            mismatches.append(f"instance {t}: returned certificate fails verification")
-            continue
-        oracle = _brute_force_serial(inst)
-        if (cert is None) == (oracle is None):
-            matches += 1
-        else:
-            mismatches.append(
-                f"instance {t}: backtracking={'Some' if cert else 'None'} "
-                f"enumeration={'Some' if oracle else 'None'}"
-            )
-        if k <= 2 and arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1):
-            two_serial_total += 1
-            if cert is not None:
-                two_serial_ok += 1
+    step = max(1, min(_CROSSCHECK_CHUNK, _MAX_DRAW_BYTES // (8 * n * n)))  # the solve holds 8 n^2 entries an instance
+    for lo in range(0, instances, step):
+        rngs = [derive_rng(config.seed, 0, t) for t in range(lo, min(lo + step, instances))]
+        m1, m2 = random_full_ranks(rngs, n, fld), random_full_ranks(rngs, n, fld)
+        x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs], dtype=np.intp)
+                  for _ in range(2))
+        certs = _search_stack(*_reduced_pairs(m1, m2, fld), x1, x2, fld)
+        cols = _columns(m1, m2)
+        found = [i for i, cert in enumerate(certs) if cert is not None]
+        sigma, tau = (np.array([getattr(certs[i], side) for i in found], dtype=np.intp).reshape(len(found), k)
+                      for side in ("sigma", "tau"))
+        sound = np.ones(len(rngs), dtype=bool)
+        sound[found] = [hit is not None for hit in _first_hit(cols[found], sigma, tau, whole, _prefixes(k), fld)]
+        kept = np.flatnonzero(sound)
+        oracle = dict(zip(kept.tolist(), _brute_force_serial(cols[kept], x1[kept], x2[kept], fld)))
+        two_way = set()
+        if k <= 2:
+            hits = _first_hit(cols[kept], x1[kept], x2[kept], whole, np.arange(k)[None], fld)
+            two_way = {i for i, hit in zip(kept.tolist(), hits) if hit is not None}
+        for i, cert in enumerate(certs):
+            t = lo + i
+            if not sound[i]:
+                unsound += 1
+                mismatches.append(f"instance {t}: returned certificate fails verification")
+                continue
+            if (cert is None) == (oracle[i] is None):
+                matches += 1
+            else:
+                mismatches.append(
+                    f"instance {t}: backtracking={'Some' if cert else 'None'} "
+                    f"enumeration={'Some' if oracle[i] else 'None'}"
+                )
+            if i in two_way:
+                two_serial_total += 1
+                if cert is not None:
+                    two_serial_ok += 1
     tally = [("serial_oracle_match", matches, instances)]
     if two_serial_total:  # counted for k <= 2 only
         tally.append(("two_serial_certified", two_serial_ok, two_serial_total))

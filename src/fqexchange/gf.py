@@ -150,7 +150,13 @@ class FieldSpec:
         self._mul = mul.astype(np.uint8)
         self._neg = neg.astype(np.uint8)
         self._inv = inv.astype(np.uint8)
-        for t in (self._add, self._mul, self._neg, self._inv):
+        # flat forms read at uint16 indices x * q + y (below 2^16 for q <= 251):
+        # x + y is _add_flat[x * q + y], and _mul_q[x * q + y] and _neg_inv_q[x]
+        # are x * y and -1/x already scaled by q, the way an index needs them
+        self._add_flat = self._add.reshape(-1)
+        self._mul_q = self._mul.reshape(-1).astype(np.uint16) * np.uint16(q)
+        self._neg_inv_q = self._neg[self._inv].astype(np.uint16) * np.uint16(q)
+        for t in (self._add, self._mul, self._neg, self._inv, self._mul_q, self._neg_inv_q):
             t.setflags(write=False)
 
     # scalar ops on raw indices; prime fields skip the tables

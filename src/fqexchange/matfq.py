@@ -1,8 +1,12 @@
 """Dense matrices over GF(q): rank, reduction, random generation, counting.
 
 Entries are stored as a read-only uint8 array of element indices; all row
-operations go through the field's lookup tables, so the same kernel serves
-prime and extension fields.  Matrices are immutable values and every
+operations go through the field's lookup tables, read flat at uint16
+indices x * q + y, so the same kernel serves prime and extension fields.
+The kernels take whole stacks: _pivot_rows eliminates a (B, rows, cols)
+stack at once, and rank, solves, products and rejection sampling
+(random_full_ranks, one generator per matrix) are stacks through it; a
+single matrix is a stack of one.  Matrices are immutable values and every
 operation returns a fresh matrix.
 """
 
@@ -107,8 +111,11 @@ def _pivot_rows(
     are never chosen again.  A column with no pivot leaves the matrix as
     it is (its pivot entry is 0 and field._inv[0] == 0, so every factor
     is 0), so the pivot count of each matrix is the rank of its A.
-    Returns that count, the (B, size) pivot row of every column, and what
-    the other rows and columns are left holding: the Schur complement
+    Every field operation is one lookup into a flat table at the uint16
+    index x * q + y, whose scaled operand x * q the tables give (see
+    gf.FieldSpec): cheaper than a 2-D lookup at (x, y).  Returns the
+    pivot counts, the (B, size) pivot row of every column, and what the
+    other rows and columns are left holding: the Schur complement
     D - C A^-1 B of the stack [[A, B], [C, D]] where A is nonsingular.
     """
     a = np.asarray(stack, dtype=np.uint8)
@@ -117,16 +124,15 @@ def _pivot_rows(
     found = np.zeros(a.shape[0], dtype=np.min_scalar_type(size))
     rows = np.zeros((a.shape[0], size), dtype=np.intp)
     every = np.arange(a.shape[0])
-    add_t, mul_t = field._add, field._mul
-    neg_t, inv_t = field._neg, field._inv
+    add_f, mul_q, neg_inv_q = field._add_flat, field._mul_q, field._neg_inv_q
     for c in range(size):
-        rows[:, c] = (a[:, :size, 0] != 0).argmax(axis=1)
-        piv = a[every, rows[:, c]]
+        rows[:, c] = r = (a[:, :size, 0] != 0).argmax(axis=1)
+        piv = a[every, r]
         found += piv[:, 0] != 0
         if a.shape[-1] == 1:  # the last column and nothing carried: nothing left to eliminate
             return found, rows, a[:, size:, 1:]
-        factors = mul_t[a[:, :, 0], neg_t[inv_t[piv[:, 0]]][:, None]]
-        a = add_t[a[:, :, 1:], mul_t[factors[:, :, None], piv[:, None, 1:]]]
+        factors_q = mul_q[neg_inv_q[piv[:, 0]][:, None] + a[:, :, 0]]  # each row's factor, times q
+        a = add_f[mul_q[factors_q[:, :, None] + piv[:, None, 1:]] + a[:, :, 1:]]
     return found, rows, a[:, size:]
 
 
@@ -211,20 +217,32 @@ def beta(k: int, q: int) -> Fraction:
     return (1 - Fraction(1, q)) ** k
 
 
-def random_full_rank(rng: np.random.Generator, n: int, field: FieldSpec) -> MatFq:
-    """Uniform draw from the nonsingular n x n matrices over GF(q).
+def random_full_ranks(rngs: Sequence[np.random.Generator], n: int, field: FieldSpec) -> np.ndarray:
+    """One uniform draw from the nonsingular n x n matrices per generator, as a (B, n, n) stack.
 
     Rejection sampling on whole matrices: a uniform matrix conditioned on
-    full rank is uniform on the full-rank set.  The acceptance probability
-    is at least 0.288 for every q >= 2, so the expected number of draws is
-    below 3.5.
+    full rank is uniform on the full-rank set.  The generators go in
+    lockstep: each round draws one candidate from every generator whose
+    draw was rejected so far and tests the round in one stacked call, so
+    each generator sees the calls it would see alone.  The acceptance
+    probability is at least 0.288 for every q >= 2, so the expected
+    number of rounds per generator is below 3.5.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    while True:
-        ent = rng.integers(0, field.q, size=(n, n), dtype=np.uint8)
-        if _rank_of(ent, field) == n:
-            return MatFq(field, ent)
+    out = np.empty((len(rngs), n, n), dtype=np.uint8)
+    todo = np.arange(len(rngs))
+    while todo.size:
+        draws = np.stack([rngs[i].integers(0, field.q, size=(n, n), dtype=np.uint8) for i in todo])
+        ok = _nonsingular(draws, field)
+        out[todo[ok]] = draws[ok]
+        todo = todo[~ok]
+    return out
+
+
+def random_full_rank(rng: np.random.Generator, n: int, field: FieldSpec) -> MatFq:
+    """Uniform draw from the nonsingular n x n matrices over GF(q): random_full_ranks of one."""
+    return MatFq(field, random_full_ranks([rng], n, field)[0])
 
 
 def reduce_against(v: MatFq, u: MatFq) -> MatFq:
@@ -250,17 +268,19 @@ def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Product of two index arrays over GF(q), through the field tables.
 
     a and b may be stacks with matching leading axes.  Every term
-    a[..., i, l] * b[..., l, j] is looked up at once, zero-padded along l
-    to a power of two, and summed by halving, so the table additions take
-    log2(inner) vectorized steps.
+    a[..., i, l] * b[..., l, j] is looked up at once in the flat table at
+    the uint16 index x * q + y, zero-padded along l to a power of two, and
+    summed by halving, so the table additions take log2(inner) vectorized
+    steps.
     """
     inner = a.shape[-1]
     width = 1 << max(inner - 1, 0).bit_length()
     terms = np.zeros((*a.shape[:-1], width, b.shape[-1]), dtype=np.uint8)
-    terms[..., :inner, :] = field._mul[a[..., :, :, None], b[..., None, :, :]]
+    q, mul_f = field.q, field._mul.reshape(-1)
+    terms[..., :inner, :] = mul_f[np.multiply(a[..., :, :, None], q, dtype=np.uint16) + b[..., None, :, :]]
     while width > 1:
         width //= 2
-        terms = field._add[terms[..., :width, :], terms[..., width:, :]]
+        terms = field._add_flat[np.multiply(terms[..., :width, :], q, dtype=np.uint16) + terms[..., width:, :]]
     return terms[..., 0, :]
 
 

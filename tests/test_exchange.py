@@ -1,6 +1,6 @@
 """Exchange relations: arrows, set exchange, serial search and its oracles."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from fqexchange.exchange import (
     symmetric_partners,
 )
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, SingularBasis, rank, reduce_against
+from fqexchange.matfq import MatFq, SingularBasis, random_full_ranks, rank, reduce_against
 from fqexchange.randmodel import derive_rng, sample_ordered_basis
 
 F2 = make_field(2)
@@ -214,6 +214,35 @@ def test_set_and_symmetric_exchange_match_plain_column_lists(monkeypatch, q, one
                     assert greene_woodall(b1, x1, b2) == want, (b1, b2, x1)
                     later += want != tuple(range(size))
     assert later > 0
+
+
+@pytest.mark.parametrize("unit_slices", [False, True])
+def test_stacked_scanner_matches_stacks_of_one(monkeypatch, unit_slices):
+    # one _first_hit over a stack of basis pairs gives each pair the hit
+    # of its own stack-of-one scan, pairs without a hit included: for the
+    # ordering enumeration (prefix steps) and for set candidates (one
+    # whole-set step), also when every slice holds one gathered entry
+    if unit_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    for q, n, k in ((2, 4, 2), (3, 5, 3), (4, 6, 2)):
+        field = make_field(q)
+        rngs = [derive_rng(61, q, t) for t in range(30)]
+        m1, m2 = random_full_ranks(rngs, n, field), random_full_ranks(rngs, n, field)
+        cols = exchange._columns(m1, m2)
+        x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]) for _ in range(2))
+        orders = list(permutations(range(k)))
+        cases = (  # candidate positions of B2, candidates, steps, whether some pair has no hit
+            (x2, lambda: product(orders, orders), exchange._prefixes(k), True),
+            (np.tile(np.arange(n), (len(rngs), 1)), lambda: ((range(k), c) for c in combinations(range(n), k)),
+             np.arange(k)[None], False),
+        )
+        for twos, pairs, steps, misses in cases:
+            got = exchange._first_hit(cols, x1, twos, pairs(), steps, field)
+            want = [exchange._first_hit(cols[i:i + 1], x1[i:i + 1], twos[i:i + 1], pairs(), steps, field)[0]
+                    for i in range(len(rngs))]
+            assert got == want
+            assert (None in got) == misses
+            assert len({hit[1] for hit in got if hit is not None}) > 1
 
 
 def test_greene_woodall_rejects_empty():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import ref_is_basis, ref_rank, ref_search_reduced
 from fqexchange import exchange, experiments
-from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, serial_check
+from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, arrow, serial_check, serial_search
 from fqexchange.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -352,6 +352,74 @@ def test_crosscheck_k2_flags_two_serial_gap():
     assert any("no serial certificate" in f for f in rep.flags)
 
 
+def _stack_of_one(inst):
+    """inst as the one instance of a stack, in the arguments experiments._brute_force_serial takes."""
+    cols = exchange._columns(inst.b1.matrix.entries, inst.b2.matrix.entries)[None]
+    return cols, np.array([inst.x1], dtype=np.intp), np.array([inst.x2], dtype=np.intp), inst.b1.field
+
+
+def _ref_crosscheck(config, instances):
+    """crosscheck_serial as a loop over instances, each drawn, searched and checked alone."""
+    k, n = config.k, config.n_values[0]
+    fld = make_field(config.q)
+    mismatches = []
+    matches = unsound = two_serial_total = two_serial_ok = 0
+    for t in range(instances):
+        rng = derive_rng(config.seed, 0, t)
+        b1 = sample_ordered_basis(rng, n, fld)
+        b2 = sample_ordered_basis(rng, n, fld)
+        x1 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
+        x2 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
+        inst = ExchangeInstance(b1, b2, x1, x2)
+        cert = serial_search(inst)
+        if cert is not None and not serial_check(inst, cert):
+            unsound += 1
+            mismatches.append(f"instance {t}: returned certificate fails verification")
+            continue
+        (oracle,) = experiments._brute_force_serial(*_stack_of_one(inst))
+        if (cert is None) == (oracle is None):
+            matches += 1
+        else:
+            mismatches.append(
+                f"instance {t}: backtracking={'Some' if cert else 'None'} "
+                f"enumeration={'Some' if oracle else 'None'}"
+            )
+        if k <= 2 and arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1):
+            two_serial_total += 1
+            two_serial_ok += cert is not None
+    tally = [("serial_oracle_match", matches, instances)]
+    if two_serial_total:
+        tally.append(("two_serial_certified", two_serial_ok, two_serial_total))
+    if two_serial_ok < two_serial_total:
+        mismatches.append(
+            f"{two_serial_total - two_serial_ok} two-way exchangeable pairs with k <= 2 "
+            "had no serial certificate"
+        )
+    records = [experiments._record(*t, bounded=False, q=config.q, k=k, n=n, analytic=1.0, seed=config.seed)
+               for t in tally]
+    metadata = {"experiment": "crosscheck_serial", "instances": instances, "unsound": unsound}
+    return experiments.Report(records, mismatches, metadata)
+
+
+@pytest.mark.parametrize("q, k, n, instances, seed", [
+    (3, 3, 6, 600, 7),  # spans three chunks
+    (3, 2, 6, 300, 0),  # two-way pairs without a serial certificate: the gap flag
+    (2, 2, 5, 200, 1),
+    (4, 3, 6, 100, 2),
+    (9, 2, 7, 100, 3),
+    (3, 1, 4, 100, 4),
+    (3, 4, 7, 40, 5),
+    (3, 5, 7, 6, 6),
+])
+def test_crosscheck_matches_the_per_instance_loop(q, k, n, instances, seed):
+    config = ExperimentConfig(q=q, k=k, n_values=(n,), trials=1, seed=seed)
+    got = crosscheck_serial(config, instances)
+    want = _ref_crosscheck(config, instances)
+    assert (got.records, got.flags, got.metadata) == (want.records, want.flags, want.metadata)
+    if seed == 0:
+        assert any("no serial certificate" in f for f in got.flags)
+
+
 def _ref_prefix_failures(cols1, cols2, sigma, tau, field, memo):
     """(side, i) for every prefix replacement that is no basis, from plain column lists.
 
@@ -402,10 +470,10 @@ def test_oracle_matches_plain_prefix_families(monkeypatch, q, k):
                 want = cert
                 later_certs += idx > 0
                 break
-        assert experiments._brute_force_serial(inst) == want
+        assert experiments._brute_force_serial(*_stack_of_one(inst)) == [want]
         with monkeypatch.context() as m:
             m.setattr(exchange, "_SLICE_ENTRIES", 1)
-            assert experiments._brute_force_serial(inst) == want
+            assert experiments._brute_force_serial(*_stack_of_one(inst)) == [want]
         nones += want is None
     assert nones > 0
     if k > 1:

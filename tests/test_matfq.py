@@ -20,6 +20,7 @@ from fqexchange.matfq import (
     _matmul,
     _nonsingular,
     _sequential,
+    _solve,
     alpha,
     beta,
     nonsingular_count,
@@ -193,6 +194,27 @@ def test_nonsingular_vs_rank_of_up_to_12(q):
         want = [ref_row_rank(m, field) == k for m in stack]
         assert _nonsingular(stack, field).tolist() == want
         assert not any(want[::3])
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_stacked_kernels_at_the_top_of_the_table(k):
+    # entries near 250 over GF(251) put the kernels' flat-table indices
+    # x * q + y next to 251^2 - 1, the largest the uint16 index holds
+    field = make_field(251)
+    rng = np.random.default_rng(251 + k)
+    values = np.array([0, 248, 249, 250], dtype=np.uint8)
+    a = rng.choice(values, size=(40, k, k), p=[0.1, 0.3, 0.3, 0.3])
+    a[::4, -1] = a[::4, 0]  # a repeated row: singular
+    b = rng.choice(values, size=(40, k, 3))
+    ranks = [ref_row_rank(m, field) for m in a]
+    assert _nonsingular(a, field).tolist() == [r == k for r in ranks]
+    assert max(ranks[::4]) < k and ranks.count(k) > 20
+    found, x = _solve(a, b, field)
+    assert found.tolist() == ranks
+    for m, rhs, sol, r in zip(a.tolist(), b.tolist(), x.tolist(), ranks):
+        if r == k:
+            assert ref_matmul(m, sol, field) == rhs
+    assert _matmul(a, b, field).tolist() == [ref_matmul(m, rhs, field) for m, rhs in zip(a.tolist(), b.tolist())]
 
 
 def test_sequential_stack_k24():

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_completion, ref_det, ref_matmul, ref_rank, ref_search_reduced
+from conftest import ref_completion, ref_det, ref_matmul, ref_rank, ref_row_rank, ref_search_reduced
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_check, serial_search
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, alpha, rank
+from fqexchange.matfq import MatFq, alpha, random_full_ranks, rank
 from fqexchange.randmodel import (
     DomainError,
     KTooLarge,
@@ -71,6 +71,35 @@ def test_sample_ordered_basis_n1_f2():
     for _ in range(10):
         b = sample_ordered_basis(rng, 1, F2)
         assert b.matrix == MatFq.from_rows(F2, [[1]])
+
+
+def _ref_full_rank(rng, n, field):
+    """One generator's rejection loop: (the first full-rank n x n draw, the number of draws)."""
+    draws = 0
+    while True:
+        m = rng.integers(0, field.q, size=(n, n), dtype=np.uint8)
+        draws += 1
+        if ref_row_rank(m, field) == n:
+            return m.tolist(), draws
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 4), (3, 6), (9, 5)])
+def test_lockstep_sampler_keeps_each_generators_stream(q, n):
+    # two lockstep draws over a list of generators, as crosscheck makes
+    # them, give each generator the two bases of its own rejection loop and
+    # of its own sample_ordered_basis calls, and leave it in the same state
+    field = make_field(q)
+    alone = [derive_rng(5, q, t) for t in range(40)]
+    want = [[sample_ordered_basis(rng, n, field).matrix.entries.tolist() for _ in range(2)] for rng in alone]
+    looped = [derive_rng(5, q, t) for t in range(40)]
+    ref = [[_ref_full_rank(rng, n, field) for _ in range(2)] for rng in looped]
+    together = [derive_rng(5, q, t) for t in range(40)]
+    got = np.stack([random_full_ranks(together, n, field) for _ in range(2)], axis=1)
+    assert got.tolist() == want == [[m for m, _ in pair] for pair in ref]
+    states = [rng.bit_generator.state for rng in together]
+    assert states == [rng.bit_generator.state for rng in alone] == [rng.bit_generator.state for rng in looped]
+    if q == 2 and n > 1:
+        assert max(draws for pair in ref for _, draws in pair) > 1
 
 
 def test_sample_ordered_basis_is_basis():
