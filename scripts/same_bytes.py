@@ -11,9 +11,9 @@ any, else 0.  From the repository root:
     python3 scripts/same_bytes.py --base HEAD~1
 
 The list holds the nine commands of acceptance criterion 11, ``exhaustive``
-at (q, n) = (2, 2), (3, 3) and (3, 4), ``crosscheck`` at k = 2 (which exits
-1 with its gap flag), 3 and 5, and ``serial`` in both modes on two
-generated GF(3) bases.
+at (q, n) = (2, 2), (3, 3) and (3, 4), ``crosscheck`` at q = 3 with k = 2
+(which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4, and
+``serial`` in both modes on two generated GF(3) bases.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ COMMANDS = {
     "crosscheck_k2": ["crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "500", "--seed", SEED],
     "crosscheck_k3": ["crosscheck", "--q", "3", "--k", "3", "--n", "6", "--instances", "500", "--seed", SEED],
     "crosscheck_k5": ["crosscheck", "--q", "3", "--k", "5", "--n", "6", "--instances", "4", "--seed", SEED],
+    "crosscheck_q9_k4": ["crosscheck", "--q", "9", "--k", "4", "--n", "8", "--instances", "60", "--seed", SEED],
     "serial_blocks": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "blocks"],
     "serial_all_subsets": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "all_subsets"],
 }

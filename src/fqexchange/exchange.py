@@ -8,10 +8,11 @@ bookkeeping is needed.  Every full-coordinate question is which swaps of
 positions of B1 with positions of B2 give bases, both ways: _swap_maps
 maps a stack of swaps to columns of [B1 | B2], _swap_bases tests the
 gathered families of a stack of basis pairs in one stacked
-matfq._nonsingular call, and _first_hit scans candidates for each pair's
-first whose swaps all pass (set exchange, and with one swap per prefix,
-serial_check and the crosscheck oracle).  It scans a whole stack of
-pairs at once; a single pair is a stack of one.
+matfq._nonsingular call (also the crosscheck oracle's prefix states), and
+_first_hit scans candidates for each pair's first whose swaps all pass
+(set exchange, and with one swap per prefix, serial_check and the
+crosscheck's certificate checks).  It scans a whole stack of pairs at
+once; a single pair is a stack of one.
 
 The serial questions run in reduced coordinates: row-reducing one basis
 to the identity turns every "is this replacement still a basis" question

@@ -24,11 +24,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import IO, Optional
 
 import numpy as np
 
+from . import exchange  # _SLICE_ENTRIES is read through the module, so a patched value holds here too
 from .exchange import (
     SUBSET_GATE,
     OrderedBasis,
@@ -38,6 +40,7 @@ from .exchange import (
     _prefixes,
     _reduced_pairs,
     _search_stack,
+    _swap_bases,
     greene_woodall,
     symmetric_partners,
 )
@@ -49,7 +52,7 @@ from .randmodel import run_trial  # no caller here; perfbench/tracing.py PATCHES
 
 _CHUNK = 512
 _MAX_DRAW_BYTES = 1 << 24  # largest (chunk, k, k) uint8 draw an estimate chunk may make
-_MAX_CROSSCHECK_K = 5  # the oracle enumerates (k!)^2 ordering pairs per instance
+_MAX_CROSSCHECK_K = 5  # the oracle reads (k!)^2 ordering pairs per instance, 14 400 at k = 5
 _CROSSCHECK_CHUNK = 256  # instances per crosscheck stack; 512 cost 1.3 MB more peak RSS at (3, 3, 6), no less time
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _FLAG_SIGMAS = 4.0
@@ -365,34 +368,85 @@ def verify_zprime_bound(config: ExperimentConfig, jobs: int = 1) -> Report:
 # --- oracle cross-checks ---
 
 
-def _brute_force_serial(cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, field) -> list[SerialCertificate | None]:
-    """Enumerate all (k!)^2 ordering pairs of each instance of a stack, verifying each directly.
+@cache
+def _ordering_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prefix states of a pair of k-sets, and the states each ordering pair passes through.
+
+    A state (S, T) pairs two sets of one size s, 1 <= s <= k, of indices
+    into the two k-sets: S swapped against T is a prefix family, whatever
+    order either was reached in.  States go by size, then lexicographically, so the last is
+    the whole pair.  ones[p] and twos[p] list state p's S and T sorted,
+    padded to length k by repeating their last entry (a repeated position
+    swaps once, see exchange._swap_maps).  orders lists the k!
+    permutations, and path[a * k! + b, i] is the state of prefix i + 1 of
+    the ordering pair (orders[a], orders[b]), pairs in product order.
+    """
+    levels = [list(combinations(range(k), s)) for s in range(1, k + 1)]
+    states = [(u, v) for sets in levels for u in sets for v in sets]
+    ones, twos = (np.array([state[side] + state[side][-1:] * (k - len(state[side])) for state in states],
+                            dtype=np.intp).reshape(len(states), k) for side in (0, 1))
+    orders = np.array(list(permutations(range(k))), dtype=np.intp).reshape(math.factorial(k), k)
+    # state (S, T) of size s is first[s - 1] + rank(S) * C(k, s) + rank(T), ranks within combinations order
+    sizes = np.array([len(sets) for sets in levels], dtype=np.intp)
+    first = np.cumsum([0, *sizes**2])[:-1]
+    rank = np.array([[levels[i].index(tuple(sorted(a[:i + 1]))) for i in range(k)] for a in orders.tolist()],
+                    dtype=np.intp).reshape(len(orders), k)
+    path = first + rank[:, None] * sizes + rank[None, :]
+    return ones, twos, orders, path.reshape(len(orders) ** 2, k)
+
+
+def _brute_force_serial(
+    cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, field
+) -> tuple[list[SerialCertificate | None], np.ndarray]:
+    """Every ordering pair of each instance of a stack, read from a table of its prefix states.
 
     cols is a (B, 2n, n) stack of exchange._columns and x1 and x2 (B, k)
-    position arrays.  Gives each instance's first pair, in permutations
-    order, whose every prefix replacement is a basis on both sides;
-    exchange._first_hit scans the whole stack, in slices.
+    position arrays.  Each of the C(2k, k) - 1 prefix states of an instance
+    (_ordering_table) is swapped in full coordinates once, both ways, in
+    stacked exchange._swap_bases calls of at most _SLICE_ENTRIES gathered
+    entries; then each of the (k!)^2 ordering pairs reads its k prefixes
+    from that table, in slices of instances of at most _SLICE_ENTRIES
+    reads.  Gives each instance's first pair, in permutations order, whose
+    every prefix replacement is a basis on both sides, and whether its
+    whole sets swap to bases both ways (two-way exchangeable).
     """
-    orders = list(permutations(range(x1.shape[-1])))
-    hits = _first_hit(cols, x1, x2, product(orders, orders), _prefixes(x1.shape[-1]), field)
-    return [None if hit is None else SerialCertificate(*hit) for hit in hits]
+    k, n = x1.shape[-1], cols.shape[-1]
+    ones, twos, orders, path = _ordering_table(k)
+    valid = np.empty((len(cols), len(ones)), dtype=bool)
+    flat = valid.reshape(-1)
+    step = max(1, exchange._SLICE_ENTRIES // max(2 * n * n, 1))
+    for lo in range(0, flat.size, step):
+        pair, state = np.divmod(np.arange(lo, min(lo + step, flat.size)), len(ones))
+        at = pair[:, None]
+        flat[lo:lo + step] = _swap_bases(cols, pair, x1[at, ones[state]], x2[at, twos[state]], field).all(axis=-1)
+    certs = []
+    group = max(1, exchange._SLICE_ENTRIES // max(path.size, 1))
+    for lo in range(0, len(valid), group):
+        ok = valid[lo:lo + group, path].all(axis=-1)
+        for i, first in enumerate(ok.argmax(axis=1).tolist(), start=lo):
+            a, b = divmod(first, len(orders))
+            certs.append(SerialCertificate(tuple(x1[i, orders[a]].tolist()), tuple(x2[i, orders[b]].tolist()))
+                         if ok[i - lo, first] else None)
+    return certs, valid[:, -1] if k else np.ones(len(cols), dtype=bool)
 
 
 def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     """Backtracking verdicts against exhaustive ordering enumeration.
 
-    k is at most 5, since the enumeration costs (k!)^2 per instance.
-    Instance t draws from its own generator, derive_rng(seed, 0, t): two
-    bases, then x1 and x2.  Instances go in chunks of at most
+    k is at most 5, since the enumeration reads (k!)^2 ordering pairs per
+    instance.  Instance t draws from its own generator, derive_rng(seed,
+    0, t): two bases, then x1 and x2.  Instances go in chunks of at most
     _CROSSCHECK_CHUNK, and each step of a chunk is a stacked array
     program: the bases by lockstep rejection sampling, every reduced pair
     in one solve, the backtracking search where both full blocks pass,
-    and the certificate checks, the enumeration and the two-way test each
-    one exchange._first_hit scan over the chunk.  For k <= 2 it also
-    counts the two-way exchangeable pairs and, among them, the serially
-    certified ones, and flags the shortfall against the claim that every
-    two-way exchangeable pair is serially exchangeable.  That claim is false (see
-    README), so a flag here is a finding, not a bug.
+    the certificate checks in one exchange._first_hit scan over the
+    chunk, and the enumeration from one table of prefix states
+    (_brute_force_serial), whose whole-set state is the two-way test.
+    For k <= 2 it also counts the two-way exchangeable pairs and, among
+    them, the serially certified ones, and flags the shortfall against
+    the claim that every two-way exchangeable pair is serially
+    exchangeable.  That claim is false (see README), so a flag here is a
+    finding, not a bug.
     """
     k = config.k
     if k > _MAX_CROSSCHECK_K:
@@ -422,11 +476,9 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
         sound = np.ones(len(rngs), dtype=bool)
         sound[found] = [hit is not None for hit in _first_hit(cols[found], sigma, tau, whole, _prefixes(k), fld)]
         kept = np.flatnonzero(sound)
-        oracle = dict(zip(kept.tolist(), _brute_force_serial(cols[kept], x1[kept], x2[kept], fld)))
-        two_way = set()
-        if k <= 2:
-            hits = _first_hit(cols[kept], x1[kept], x2[kept], whole, np.arange(k)[None], fld)
-            two_way = {i for i, hit in zip(kept.tolist(), hits) if hit is not None}
+        enumerated, full = _brute_force_serial(cols[kept], x1[kept], x2[kept], fld)
+        oracle = dict(zip(kept.tolist(), enumerated))
+        two_way = set(kept[full].tolist()) if k <= 2 else set()
         for i, cert in enumerate(certs):
             t = lo + i
             if not sound[i]:

@@ -26,10 +26,6 @@ class FieldTooLarge(ValueError):
     """q exceeds 256, the number of element indices a uint8 entry holds."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Multiplicative inverse of the zero element."""
-
-
 # Monic irreducible polynomials over GF(p), coefficients low degree first,
 # one per supported extension field.  Each is checked exhaustively in the
 # test suite (no monic factor of degree 1 .. e-1).
@@ -158,29 +154,6 @@ class FieldSpec:
         self._neg_inv_q = self._neg[self._inv].astype(np.uint16) * np.uint16(q)
         for t in (self._add, self._mul, self._neg, self._inv, self._mul_q, self._neg_inv_q):
             t.setflags(write=False)
-
-    # scalar ops on raw indices; prime fields skip the tables
-    def add_idx(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.q
-        return int(self._add[a, b])
-
-    def mul_idx(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.q
-        return int(self._mul[a, b])
-
-    def neg_idx(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.q
-        return int(self._neg[a])
-
-    def inv_idx(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"inverse of zero in GF({self.q})")
-        if self.e == 1:
-            return pow(a, -1, self.q)
-        return int(self._inv[a])
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and other.q == self.q

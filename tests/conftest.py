@@ -4,16 +4,51 @@ The determinant here is Laplace expansion over verified scalar field ops,
 so rank and independence answers do not reuse the vectorized elimination
 they are checking.  ref_row_rank is a plain one-matrix row reduction,
 kept beside the library's stacked kernel as a fast rank reference for
-matrices too large for minor expansion.
+matrices too large for minor expansion.  The scalar field ops on raw
+indices live here too: the library itself only reads the op tables.
+ref_brute_force_serial is the crosscheck oracle the library replaced, a
+scan of every ordering pair that tests each of its prefixes anew.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
+from fqexchange.exchange import SerialCertificate, _first_hit, _prefixes
 from fqexchange.gf import FieldSpec, make_field
+
+
+class DivisionByZero(ZeroDivisionError):
+    """Multiplicative inverse of the zero element."""
+
+
+# scalar ops on raw indices; prime fields skip the tables
+def add_idx(field: FieldSpec, a: int, b: int) -> int:
+    if field.e == 1:
+        return (a + b) % field.q
+    return int(field._add[a, b])
+
+
+def mul_idx(field: FieldSpec, a: int, b: int) -> int:
+    if field.e == 1:
+        return (a * b) % field.q
+    return int(field._mul[a, b])
+
+
+def neg_idx(field: FieldSpec, a: int) -> int:
+    if field.e == 1:
+        return (-a) % field.q
+    return int(field._neg[a])
+
+
+def inv_idx(field: FieldSpec, a: int) -> int:
+    if a == 0:
+        raise DivisionByZero(f"inverse of zero in GF({field.q})")
+    if field.e == 1:
+        return pow(a, -1, field.q)
+    return int(field._inv[a])
 
 
 def accepted_q() -> list[int]:
@@ -41,10 +76,10 @@ def ref_det(entries, field: FieldSpec) -> int:
         a = entries[0][j]
         if a:
             minor = [[row[c] for c in range(n) if c != j] for row in entries[1:]]
-            term = field.mul_idx(a, ref_det(minor, field))
+            term = mul_idx(field, a, ref_det(minor, field))
             if sign_flip:
-                term = field.neg_idx(term)
-            total = field.add_idx(total, term)
+                term = neg_idx(field, term)
+            total = add_idx(field, total, term)
         sign_flip = not sign_flip
     return total
 
@@ -103,7 +138,7 @@ def ref_matmul(a, b, field: FieldSpec):
         for j in range(cols):
             acc = 0
             for t in range(inner):
-                acc = field.add_idx(acc, field.mul_idx(row[t], b[t][j]))
+                acc = add_idx(field, acc, mul_idx(field, row[t], b[t][j]))
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -126,12 +161,12 @@ def ref_completion(r, c, field: FieldSpec):
         if piv is None:
             continue
         work[row], work[piv] = work[piv], work[row]
-        scale = field.inv_idx(work[row][col])
-        work[row] = [field.mul_idx(scale, v) for v in work[row]]
+        scale = inv_idx(field, work[row][col])
+        work[row] = [mul_idx(field, scale, v) for v in work[row]]
         for i in range(k):
             f = work[i][col]
             if i != row and f:
-                work[i] = [field.add_idx(v, field.neg_idx(field.mul_idx(f, w))) for v, w in zip(work[i], work[row])]
+                work[i] = [add_idx(field, v, neg_idx(field, mul_idx(field, f, w))) for v, w in zip(work[i], work[row])]
         pivots.append(col)
         row += 1
     null_rows = []
@@ -139,7 +174,7 @@ def ref_completion(r, c, field: FieldSpec):
         vec = [0] * n
         vec[free] = 1
         for i, p in enumerate(pivots):
-            vec[p] = field.neg_idx(work[i][free])
+            vec[p] = neg_idx(field, work[i][free])
         null_rows.append(vec)
     return [list(rr) for rr in r] + null_rows
 
@@ -181,3 +216,16 @@ def ref_search_reduced(vp, up, x1, x2, field: FieldSpec):
         return False
 
     return (tuple(sigma), tuple(tau)) if dfs() else None
+
+
+def ref_brute_force_serial(cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec):
+    """Each instance's first serial ordering pair, by testing all (k!)^2 pairs one by one.
+
+    cols is a (B, 2n, n) stack of exchange._columns and x1 and x2 (B, k)
+    position arrays.  exchange._first_hit scans the ordering pairs in
+    permutations order and tests every prefix swap of every pair, so a
+    prefix family is tested again for each pair that reaches it.
+    """
+    orders = list(permutations(range(x1.shape[-1])))
+    hits = _first_hit(cols, x1, x2, product(orders, orders), _prefixes(x1.shape[-1]), field)
+    return [None if hit is None else SerialCertificate(*hit) for hit in hits]

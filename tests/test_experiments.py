@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_is_basis, ref_rank, ref_search_reduced
+from conftest import ref_brute_force_serial, ref_is_basis, ref_rank, ref_search_reduced
+from test_exchange import TWO_SERIAL_GAP_B1, TWO_SERIAL_GAP_B2
 from fqexchange import exchange, experiments
 from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, arrow, serial_check, serial_search
 from fqexchange.experiments import (
@@ -353,7 +354,7 @@ def test_crosscheck_k2_flags_two_serial_gap():
 
 
 def _stack_of_one(inst):
-    """inst as the one instance of a stack, in the arguments experiments._brute_force_serial takes."""
+    """inst as the one instance of a stack, in the arguments the crosscheck oracles take."""
     cols = exchange._columns(inst.b1.matrix.entries, inst.b2.matrix.entries)[None]
     return cols, np.array([inst.x1], dtype=np.intp), np.array([inst.x2], dtype=np.intp), inst.b1.field
 
@@ -376,7 +377,7 @@ def _ref_crosscheck(config, instances):
             unsound += 1
             mismatches.append(f"instance {t}: returned certificate fails verification")
             continue
-        (oracle,) = experiments._brute_force_serial(*_stack_of_one(inst))
+        (oracle,) = ref_brute_force_serial(*_stack_of_one(inst))
         if (cert is None) == (oracle is None):
             matches += 1
         else:
@@ -470,15 +471,85 @@ def test_oracle_matches_plain_prefix_families(monkeypatch, q, k):
                 want = cert
                 later_certs += idx > 0
                 break
-        assert experiments._brute_force_serial(*_stack_of_one(inst)) == [want]
+        two_way = arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1)
+        assert ref_brute_force_serial(*_stack_of_one(inst)) == [want]
+        certs, full = experiments._brute_force_serial(*_stack_of_one(inst))
+        assert (certs, full.tolist()) == ([want], [two_way])
         with monkeypatch.context() as m:
             m.setattr(exchange, "_SLICE_ENTRIES", 1)
-            assert experiments._brute_force_serial(*_stack_of_one(inst)) == [want]
+            certs, full = experiments._brute_force_serial(*_stack_of_one(inst))
+            assert (certs, full.tolist()) == ([want], [two_way])
         nones += want is None
     assert nones > 0
     if k > 1:
         assert one_sided[1] > 0 and one_sided[2] > 0
         assert later_certs > 0
+
+
+def _random_stack(q, k, n, count, seed):
+    """count random instances as a stack, in the arguments the crosscheck oracles take."""
+    field = make_field(q)
+    rng = np.random.default_rng(seed)
+    m1, m2 = (np.array([sample_ordered_basis(rng, n, field).matrix.entries for _ in range(count)],
+                       dtype=np.uint8).reshape(count, n, n) for _ in range(2))
+    x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)],
+                       dtype=np.intp).reshape(count, k) for _ in range(2))
+    return exchange._columns(m1, m2), x1, x2, field
+
+
+def _two_way(cols, x1, x2, field):
+    """Whether each instance's whole sets swap to bases both ways, by _first_hit."""
+    whole = [(range(x1.shape[-1]), range(x1.shape[-1]))]
+    return [hit is not None for hit in exchange._first_hit(cols, x1, x2, whole, np.arange(x1.shape[-1])[None], field)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_table_oracle_gives_the_scan_oracles_certificates(monkeypatch, q, k):
+    # the prefix-state table against the ordering-by-ordering scan: the
+    # same certificate for every instance, not only the same Nones, also
+    # when every slice holds one swap and one instance; n = k for q = 3
+    # and 9, so every position is exchanged
+    n = k + q % 3
+    stack = _random_stack(q, k, n, 3 if k == 5 else 24, seed=10 * q + k)
+    want = ref_brute_force_serial(*stack), _two_way(*stack)
+    certs, full = experiments._brute_force_serial(*stack)
+    assert (certs, full.tolist()) == want
+    monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    unit = experiments._brute_force_serial(*stack)
+    assert (unit[0], unit[1].tolist()) == want
+    _, x1, x2, _ = stack
+    later = [cert is not None and (cert.sigma, cert.tau) != (tuple(a), tuple(b)) for cert, a, b in zip(certs, x1, x2)]
+    assert any(cert is None for cert in certs) or n == k
+    assert any(later) or k == 1
+
+
+def test_table_oracle_on_the_two_serial_gap():
+    # the seed-0 k = 2 instances of the crosscheck, gap instances among
+    # them, and the frozen GF(2) pair: two-way, yet no serial certificate
+    fld = make_field(3)
+    cols, x1, x2 = [], [], []
+    for rng in (derive_rng(0, 0, t) for t in range(300)):
+        b1, b2 = sample_ordered_basis(rng, 6, fld), sample_ordered_basis(rng, 6, fld)
+        cols.append(exchange._columns(b1.matrix.entries, b2.matrix.entries))
+        x1.append(np.sort(rng.choice(6, size=2, replace=False)))
+        x2.append(np.sort(rng.choice(6, size=2, replace=False)))
+    stack = np.array(cols), np.array(x1, dtype=np.intp), np.array(x2, dtype=np.intp), fld
+    certs, full = experiments._brute_force_serial(*stack)
+    assert certs == ref_brute_force_serial(*stack)
+    assert full.tolist() == _two_way(*stack)
+    assert any(f and cert is None for f, cert in zip(full, certs))
+    f2 = make_field(2)
+    b1, b2 = (np.array(rows, dtype=np.uint8) for rows in (TWO_SERIAL_GAP_B1, TWO_SERIAL_GAP_B2))
+    gap = exchange._columns(b1, b2)[None], np.array([[1, 2]]), np.array([[1, 2]]), f2
+    certs, full = experiments._brute_force_serial(*gap)
+    assert (certs, full.tolist()) == (ref_brute_force_serial(*gap), [True]) == ([None], [True])
+
+
+def test_table_oracle_on_an_empty_stack():
+    for k in (0, 1, 3):
+        certs, full = experiments._brute_force_serial(*_random_stack(3, k, 4, 0, seed=1))
+        assert certs == [] and full.shape == (0,)
 
 
 def test_exhaustive_small_q2_n2_enumerates_everything():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepted_q, ref_det, ref_matmul, ref_rank, ref_row_rank
+from conftest import accepted_q, add_idx, mul_idx, ref_det, ref_matmul, ref_rank, ref_row_rank
 from fqexchange.gf import SUPPORTED_EXTENSIONS, make_field
 from fqexchange.matfq import (
     IndexOutOfRange,
@@ -94,7 +94,7 @@ def test_rank_large_fields_vs_minor_oracle(data):
         coefs = [data.draw(elem) for _ in rows]
         last = [0] * n
         for c, row in zip(coefs, rows):
-            last = [field.add_idx(v, field.mul_idx(c, w)) for v, w in zip(last, row)]
+            last = [add_idx(field, v, mul_idx(field, c, w)) for v, w in zip(last, row)]
     else:
         last = [data.draw(elem) for _ in range(n)]
     rows.append(last)
@@ -165,7 +165,7 @@ def _mixed_rank_stack(rng, field, k, count):
         row = [0] * k
         for src in m[:-1]:
             c = int(rng.integers(0, field.q))
-            row = [field.add_idx(v, field.mul_idx(c, int(w))) for v, w in zip(row, src)]
+            row = [add_idx(field, v, mul_idx(field, c, int(w))) for v, w in zip(row, src)]
         m[-1] = row
     return stack
 
@@ -387,7 +387,7 @@ def test_reduce_against_singular():
         field = make_field(q)
         v = rng.integers(0, q, size=(3, 3), dtype=np.uint8)
         c0, c1 = (int(x) for x in rng.integers(0, q, size=2))
-        v[2] = [field.add_idx(field.mul_idx(c0, int(x)), field.mul_idx(c1, int(y))) for x, y in zip(v[0], v[1])]
+        v[2] = [add_idx(field, mul_idx(field, c0, int(x)), mul_idx(field, c1, int(y))) for x, y in zip(v[0], v[1])]
         with pytest.raises(SingularBasis):
             reduce_against(MatFq(field, v), MatFq(field, np.eye(3, dtype=np.uint8)))
 
