@@ -12,8 +12,11 @@ any, else 0.  From the repository root:
 
 The list holds the nine commands of acceptance criterion 11, ``exhaustive``
 at (q, n) = (2, 2), (3, 3) and (3, 4), ``crosscheck`` at q = 3 with k = 2
-(which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4, and
-``serial`` in both modes on two generated GF(3) bases.
+(which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4,
+``serial`` in both modes on two generated GF(3) bases, and three GF(3)
+``trend`` rows for the serial search at larger k and in the all-subsets
+search: k = 4 at n = 20, k = 6 at n = 40, and k = 3 at n = 12 with
+``--exhaustive``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ COMMANDS = {
     "crosscheck_q9_k4": ["crosscheck", "--q", "9", "--k", "4", "--n", "8", "--instances", "60", "--seed", SEED],
     "serial_blocks": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "blocks"],
     "serial_all_subsets": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "all_subsets"],
+    "trend_k4": ["trend", "--q", "3", "--k", "4", "--n", "20", "--trials", "128", "--seed", SEED],
+    "trend_k6": ["trend", "--q", "3", "--k", "6", "--n", "40", "--trials", "64", "--seed", SEED],
+    "trend_exhaustive": ["trend", "--q", "3", "--k", "3", "--n", "12", "--trials", "100", "--seed", SEED, "--exhaustive"],
 }
 
 

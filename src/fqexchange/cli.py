@@ -12,6 +12,7 @@ import argparse
 import io
 import math
 import sys
+from functools import cache
 
 from . import experiments, matfq
 from .exchange import SUBSET_GATE, OrderedBasis, find_serial_partner, serial_search, ExchangeInstance
@@ -83,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serial.add_argument("--out", default=None)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: parsing reads it and never changes it."""
+    return build_parser()
 
 
 def _resolve_seed(args) -> int:
@@ -211,9 +218,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -19,13 +19,14 @@ to the identity turns every "is this replacement still a basis" question
 into whether a small square submatrix is nonsingular, which is also how
 the correctness of the reduction is argued (row operations preserve
 independence of column subsets).  A serial ordering is then a path of
-prefix states, one swap per step, whose two minors are nonsingular;
-_levels lists the states by size and _minors_ok tests a stack of them.
-For k <= _SCAN_MAX_K a stack of candidates is decided size by size
-(_reachable); above it, and for every certificate, a backtracking search
-tests each state's children where it stands (_certificate).
-_search_stack finds the certificates of a stack of instances: one
-stacked test of their full blocks, then the search where both pass.
+prefix states, one swap per step, whose two minors are nonsingular, and
+_minors_ok tests the children of a stack of states.  _lockstep is the
+one serial search: a depth-first search with a memo of failed states in
+which every candidate of a stack advances together, one _minors_ok call
+per state size a round.  It gives _scan's serial bits for the trial
+blocks and _search_stack's certificates for a stack of instances, and
+_first_serial runs _search_stack on slices of candidate partner sets
+(find_serial_partner and the all-subsets trial search).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .matfq import reduce_against  # no caller here; perfbench/tracing.py PATCHE
 
 SUBSET_GATE = 10**6  # default largest C(n, k) an all-subsets search scans
 _SLICE_ENTRIES = 1 << 16  # gathered matrix entries in one stacked test: _first_hit's largest slice, _minors_ok's
-_SCAN_MAX_K = 5  # _scan's largest k decided by _reachable; the serial search is faster above (ROADMAP item 5)
+_SEARCH_MAX_K = 16  # largest k _lockstep searches: its tables hold 2^k masks and its memo C(2k, k) states a candidate
 
 
 class DimensionMismatch(ValueError):
@@ -294,148 +295,195 @@ def _reduced_pair(b1: OrderedBasis, b2: OrderedBasis) -> tuple[np.ndarray, np.nd
 
 
 @cache
-def _levels(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Every prefix state of a k-block below the full one, by size: entry s is (rows, cols, pred).
+def _state_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables over bitmasks m of k positions: (base, rank, pos, free, kid).
 
-    A state of size s is the pair (S, T) of s positions swapped so far on
-    each side, as sorted tuples; rows[p] and cols[p] are the p-th state's S
-    and T, states in lexicographic order.  pred[p] lists the indices in
-    entry s - 1 of the s * s states one swap below it.
+    A prefix state is the pair (S, T) of position sets swapped so far, as
+    bitmasks of one size s; its index among the C(2k, k) states is base[S]
+    + rank[T], where rank[m] is m's place among the masks of its size and
+    base[S] = sum_{t < s} C(k, t)^2 + rank[S] * C(k, s).  pos[m] lists m's
+    positions in ascending order and free[m] the others; kid[m, u] is m
+    with free[m, u] added.  Rows are padded with zeros to length k.
     """
-    levels = []
-    index = {((), ()): 0}
-    for s in range(k):
-        sets = list(combinations(range(k), s))
-        states = [(u, v) for u in sets for v in sets]
-        pred = [[index[u[:i] + u[i + 1:], v[:j] + v[j + 1:]] for i in range(s) for j in range(s)] for u, v in states]
-        index = {state: p for p, state in enumerate(states)}
-        rows, cols = (np.array(side, dtype=np.intp).reshape(len(states), s) for side in zip(*states))
-        levels.append((rows, cols, np.array(pred, dtype=np.intp).reshape(len(states), s * s)))
-    return tuple(levels)
+    size = np.array([bin(m).count("1") for m in range(1 << k)], dtype=np.intp)
+    rank = np.zeros(1 << k, dtype=np.intp)
+    for s in range(k + 1):
+        rank[size == s] = np.arange(comb(k, s))
+    first = np.cumsum([0] + [comb(k, s) ** 2 for s in range(k)])
+    base = first[size] + rank * np.array([comb(k, s) for s in range(k + 1)])[size]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    pos = np.zeros((1 << k, k), dtype=np.intp)
+    row, col = np.nonzero(bits)
+    pos[row, np.cumsum(bits, axis=1)[row, col] - 1] = col
+    free = pos[(1 << k) - 1 ^ np.arange(1 << k)]
+    kid = np.arange(1 << k)[:, None] | 1 << free
+    return base, rank, pos, free, kid
 
 
 def _minors_ok(a: np.ndarray, b: np.ndarray, c: np.ndarray, rows: np.ndarray, cols: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Whether a[c_i][S_i, T_i] and b[c_i][T_i, S_i] are both nonsingular, for each i.
+    """Whether a[c_g][S, T] and b[c_g][T, S] are both nonsingular, for each S in rows[g] and T in cols[g].
 
     a and b are (C, k, k) stacks of blocks as in _scan, c indexes them and
-    rows and cols are (N, s) position arrays, S_i = rows[i] and T_i =
-    cols[i].  Row and column order inside a minor only flips its sign, so
-    the sets decide every prefix.  The 2N minors are gathered as they are
-    and tested in slices of at most _SLICE_ENTRIES entries.
+    rows and cols are (G, w, s) position arrays; entry [g, u, v] of the
+    (G, w, w) result is for S = rows[g, u] and T = cols[g, v].  Row and
+    column order inside a minor only flips its sign, so the sets decide
+    every prefix.  The minors are gathered as they are and tested in
+    slices of at most _SLICE_ENTRIES entries.
     """
-    s = rows.shape[-1]
-    step = max(1, _SLICE_ENTRIES // (2 * s * s))
-    ok = np.empty(len(c), dtype=bool)
-    for lo in range(0, len(c), step):
-        ci, r, t = c[lo:lo + step, None, None], rows[lo:lo + step], cols[lo:lo + step]
+    g, w, s = rows.shape
+    step = max(1, _SLICE_ENTRIES // (2 * w * w * s * s))
+    ok = np.empty((g, w, w), dtype=bool)
+    for lo in range(0, g, step):
+        ci = c[lo:lo + step].repeat(w * w)[:, None, None]  # one entry a pair (S, T), S-major
+        r = rows[lo:lo + step, :, None].repeat(w, axis=2).reshape(-1, s)
+        t = cols[lo:lo + step, None].repeat(w, axis=1).reshape(-1, s)
         minors = np.concatenate([a[ci, r[:, :, None], t[:, None, :]], b[ci, t[:, :, None], r[:, None, :]]])
-        ok[lo:lo + step] = _nonsingular(minors, field).reshape(2, -1).all(axis=0)
+        ok[lo:lo + step] = _nonsingular(minors, field).reshape(2, -1, w, w).all(axis=0)
     return ok
 
 
-def _reachable(a: np.ndarray, b: np.ndarray, full: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Which candidates reach their full exchange through states valid both ways.
+def _lockstep(a: np.ndarray, b: np.ndarray, cand: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The first serial ordering of each candidate a[c], b[c] for c in cand, searched all at once.
 
-    full tells whose full exchange is valid; only those can be serial.  A
-    serial ordering is a path from the empty state, one swap per step, so
-    sizes 1 .. k - 1 are walked in turn, testing only the states one swap
-    above a reached state; every state of size k - 1 is one swap below the
-    full one.  Candidates go in slices of at most _SLICE_ENTRIES states of
-    the largest size.
+    Every candidate's full exchange must be valid both ways.  Returns
+    whether each has a serial ordering and a (len(cand), k) array of its
+    steps, i * k + j for the swap of row i with column j of its block (junk
+    where it has none).  The search is a depth-first search over prefix
+    states in which every candidate of a slice advances together; a
+    state's children are the swaps (i, j) of a free row and a free column,
+    in ascending order, i-major, so each candidate finds the first
+    ordering in lexicographic position order.  Each round tests the
+    children of every candidate that just entered a state, in one
+    _minors_ok call per size.  Then every candidate takes its first valid
+    child not yet tried and not known to fail, or marks its state failed
+    and pops a level, which runs no test, until each stands in a new state
+    or is done.  A state of size k - 1 completes: its one child is the full
+    block.  The failed memo is one bool per prefix state, so no state is
+    expanded twice; candidates go in slices whose memo and frames hold at
+    most 16 * _SLICE_ENTRIES entries, or one candidate.
     """
     k = a.shape[-1]
-    levels = _levels(k)
-    step = max(1, _SLICE_ENTRIES // max(len(rows) for rows, _, _ in levels))
-    serial = np.zeros(len(a), dtype=bool)
-    live = np.flatnonzero(full)
-    for lo in range(0, len(live), step):
-        cand = live[lo:lo + step]
-        reached = np.ones((len(cand), 1), dtype=bool)
-        for rows, cols, pred in levels[1:]:
-            c, p = np.nonzero(reached[:, pred].any(axis=2))
-            reached = np.zeros((len(cand), len(rows)), dtype=bool)
-            reached[c, p] = _minors_ok(a, b, cand[c], rows[p], cols[p], field)
-        serial[cand] = reached.any(axis=1)
-    return serial
-
-
-def _certificate(
-    a: np.ndarray, b: np.ndarray, ones: tuple[int, ...], twos: tuple[int, ...], field: FieldSpec
-) -> SerialCertificate | None:
-    """The first serial ordering in lexicographic position order, or None.
-
-    a and b are one candidate's blocks as in _scan, whose full exchange is
-    valid both ways.  A state is the pair of position sets swapped so far:
-    its children, one swap above it and all of one size, are tested in one
-    _minors_ok call when the search first stands there, and a state that
-    failed once is not searched again, since whether it completes depends
-    on nothing else.
-    """
-    k = len(ones)
-    sigma, tau, failed = [], [], set()
-
-    def dfs(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-        if len(s) == k:
-            return True
-        if (s, t) in failed:
-            return False
-        steps = [(i, j) for i in range(k) if i not in s for j in range(k) if j not in t]
-        kids = [(tuple(sorted((*s, i))), tuple(sorted((*t, j)))) for i, j in steps]
-        rows, cols = (np.array(side, dtype=np.intp) for side in zip(*kids))
-        ok = _minors_ok(a[None], b[None], np.zeros(len(kids), dtype=np.intp), rows, cols, field)
-        for (i, j), kid, good in zip(steps, kids, ok):
-            if good:
-                sigma.append(ones[i])
-                tau.append(twos[j])
-                if dfs(*kid):
-                    return True
-                sigma.pop()
-                tau.pop()
-        failed.add((s, t))
-        return False
-
-    return SerialCertificate(tuple(sigma), tuple(tau)) if dfs((), ()) else None
+    if k > _SEARCH_MAX_K:
+        raise ValueError(f"the serial search takes k <= {_SEARCH_MAX_K}, got k = {k}")
+    base, rank, pos, free, kid = _state_tables(k)
+    found = np.zeros(len(cand), dtype=bool)
+    steps = np.zeros((len(cand), k), dtype=np.intp)
+    width = max(1, (_SLICE_ENTRIES << 4) // (comb(2 * k, k) + k ** 3))
+    for lo in range(0, len(cand), width):
+        c = cand[lo:lo + width]
+        m = len(c)
+        depth, held, took = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+        path = steps[lo:lo + m]
+        kids = np.zeros((m, k, k * k), dtype=bool)  # each depth's frame: the children left to try, u * w + v
+        failed = np.zeros((m, comb(2 * k, k)), dtype=bool)
+        found[lo:lo + m] = k <= 1  # a root of size k - 1 completes
+        entering = np.arange(m if k > 1 else 0)
+        while entering.size:
+            for s in np.flatnonzero(np.bincount(depth[entering])):
+                g, w = entering[depth[entering] == s], k - s
+                si, tj = kid[held[g], :w], kid[took[g], :w]  # the children's masks
+                ok = _minors_ok(a, b, c[g], pos[si, :s + 1], pos[tj, :s + 1], field)
+                if s:  # no state has failed before the root's children are tested
+                    ok &= ~failed[g[:, None, None], base[si][:, :, None] + rank[tj][:, None, :]]
+                kids[g, s, :w * w] = ok.reshape(len(g), w * w)
+            moving, entered = entering, [entering[:0]]
+            while moving.size:
+                slot = kids[moving, depth[moving]].argmax(axis=1)
+                has = kids[moving, depth[moving], slot]
+                go, slot, d = moving[has], slot[has], depth[moving[has]]
+                kids[go, d, slot] = False
+                i, j = free[held[go], slot // (k - d)], free[took[go], slot % (k - d)]
+                path[go, d] = i * k + j
+                held[go] |= 1 << i
+                took[go] |= 1 << j
+                depth[go] += 1
+                done = depth[go] == k - 1
+                found[lo + go[done]] = True
+                entered.append(go[~done])
+                back = moving[~has]
+                back = back[depth[back] > 0]  # a candidate out of children at the root has no ordering
+                failed[back, base[held[back]] + rank[took[back]]] = True
+                depth[back] -= 1
+                slot = path[back, depth[back]]
+                held[back] ^= 1 << slot // k
+                took[back] ^= 1 << slot % k
+                moving = back
+            entering = np.concatenate(entered)
+        if k:  # the last swap is of the one free row with the one free column
+            path[:, k - 1] = free[held, 0] * k + free[took, 0]
+    return found, steps
 
 
 def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The y bits, the x bits and the serial bits of a stack of candidates.
 
     a[c] = vp[ones, cand] and b[c] = up[cand, ones] are (C, k, k) stacks.
-    The y and x bits are the nonsingularity of the full blocks.  For
-    k <= _SCAN_MAX_K the size-by-size _reachable gives the serial bits of
-    the whole stack; for larger k the serial search runs on each candidate
-    whose full exchange is valid both ways.
+    The y and x bits are the nonsingularity of the full blocks, and the
+    serial bits come from one _lockstep search over every candidate whose
+    full exchange is valid both ways.
     """
-    k = a.shape[-1]
     y, x = _nonsingular(a, field), _nonsingular(b, field)
-    full = x & y
-    if k <= _SCAN_MAX_K:
-        serial = _reachable(a, b, full, field)
-    else:
-        ones = tuple(range(k))
-        serial = np.array([bool(full[c]) and _certificate(a[c], b[c], ones, ones, field) is not None
-                           for c in range(len(a))], dtype=bool)
+    serial = np.zeros(len(a), dtype=bool)
+    live = np.flatnonzero(x & y)
+    serial[live] = _lockstep(a, b, live, field)[0]
     return y, x, serial
 
 
 def _search_stack(
-    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec
+    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec, at: np.ndarray | None = None
 ) -> list[SerialCertificate | None]:
-    """Backtracking search for serial orderings, in reduced coordinates, for a stack of instances.
+    """The first serial orderings of a stack of instances, in reduced coordinates, or None.
 
-    vp and up are (B, n, n) stacks and x1 and x2 (B, k) arrays of sorted
-    positions.  A prefix (sigma, tau) of length i keeps both replacements
-    bases iff vp[sigma, tau] and up[tau, sigma] are nonsingular i x i
-    submatrices.  Both full blocks of every instance are tested in one
-    stacked call, and the search runs where both pass.  Pairs are tried
-    in lexicographic position order, so the first certificate found is
-    deterministic.
+    vp and up are stacks of reduced pairs and x1 and x2 (B, k) arrays of
+    sorted positions; instance i is in pair at[i] (default i).  A prefix
+    (sigma, tau) of length i keeps both replacements bases iff vp[sigma,
+    tau] and up[tau, sigma] are nonsingular i x i submatrices.  Both full
+    blocks of every instance are tested in one stacked call, and one
+    _lockstep search runs on the instances where both pass, so each
+    certificate is the first in lexicographic position order.
     """
-    i = np.arange(len(vp))[:, None, None]
+    i = (np.arange(len(x1)) if at is None else at)[:, None, None]
     a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
-    full = _nonsingular(np.concatenate([a, b]), field).reshape(2, -1).all(axis=0)
-    return [_certificate(a[t], b[t], tuple(x1[t].tolist()), tuple(x2[t].tolist()), field) if full[t] else None
-            for t in range(len(vp))]
+    live = np.flatnonzero(_nonsingular(np.concatenate([a, b]), field).reshape(2, -1).all(axis=0))
+    found, steps = _lockstep(a, b, live, field)
+    live, (row, col) = live[found], np.divmod(steps[found], max(x1.shape[-1], 1))
+    sigma, tau = np.take_along_axis(x1[live], row, axis=1).tolist(), np.take_along_axis(x2[live], col, axis=1).tolist()
+    certs = [None] * len(x1)
+    for t, s, u in zip(live.tolist(), sigma, tau):
+        certs[t] = SerialCertificate(tuple(s), tuple(u))
+    return certs
+
+
+def _first_serial(
+    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, cands, field: FieldSpec
+) -> list[tuple[tuple[int, ...], SerialCertificate] | None]:
+    """Each instance's first candidate partner set serially exchangeable with its x1, and the certificate.
+
+    vp and up are stacks of reduced pairs as in _search_stack, x1 a (B, k)
+    array of sorted positions, and cands yields sorted k-tuples of
+    positions, the same for every instance.  Candidates go in slices as in
+    _first_hit: every instance still without a hit searches the next
+    slice in one _search_stack call, and leaves the stack at its first
+    hit.  A slice gathers at most a budget of block entries, the first an
+    eighth of _SLICE_ENTRIES and each next twice the last, up to it.
+    """
+    cands = iter(cands)
+    k = x1.shape[-1]
+    hits = [None] * len(vp)
+    live = np.arange(len(vp))
+    budget = _SLICE_ENTRIES >> 3
+    while live.size and (chunk := list(islice(cands, max(1, budget // (max(2 * k * k, 1) * live.size))))):
+        at = np.repeat(live, len(chunk))
+        twos = np.tile(np.array(chunk, dtype=np.intp).reshape(len(chunk), k), (live.size, 1))
+        certs = _search_stack(vp, up, x1[at], twos, field, at)
+        ok = np.array([cert is not None for cert in certs], dtype=bool).reshape(live.size, len(chunk))
+        found = ok.any(axis=1)
+        for t in np.flatnonzero(found):
+            c = int(ok[t].argmax())
+            hits[live[t]] = (tuple(chunk[c]), certs[t * len(chunk) + c])
+        live = live[~found]
+        budget = min(2 * budget, _SLICE_ENTRIES)
+    return hits
 
 
 def _search_reduced(
@@ -489,9 +537,4 @@ def find_serial_partner(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     vp, up = _reduced_pair(b1, b2)
-    field = b1.field
-    for cand in candidates:
-        cert = _search_reduced(vp, up, x1, tuple(cand), field)
-        if cert is not None:
-            return tuple(cand), cert
-    return None
+    return _first_serial(vp[None], up[None], np.array([sorted(x1)], dtype=np.intp), candidates, b1.field)[0]

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _scan, _search_reduced
+from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _first_serial, _scan, _search_reduced
 from .gf import FieldSpec
 from .matfq import _matmul, _solve, beta, random_full_rank
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
@@ -161,8 +161,9 @@ def score_reduced(
     index nothing else.  Every block of every trial goes into one
     exchange._scan; the bits come back as (trials, ell) bool arrays.  With
     exhaustive set (and the subset count within gate) the all-subsets
-    search also runs, one trial at a time, giving a (trials,) bool array;
-    otherwise that entry is None.
+    search also runs, every trial at once, each stopping at its first
+    serial k-subset (exchange._first_serial), giving a (trials,) bool
+    array; otherwise that entry is None.
     """
     trials, k, n = r.shape
     ell = block_partition(n, k).ell
@@ -173,11 +174,8 @@ def score_reduced(
     y, x, serial = (v.reshape(trials, ell) for v in _scan(a, b, field))
     subset = None
     if exhaustive and comb(n, k) <= gate:
-        u1 = tuple(range(k))
-        subset = np.array([
-            any(_search_reduced(vp, up, u1, cand, field) is not None for cand in combinations(range(n), k))
-            for vp, up in zip(r, c)
-        ], dtype=bool)
+        u1 = np.broadcast_to(np.arange(k), (trials, k))
+        subset = np.array([hit is not None for hit in _first_serial(r, c, u1, combinations(range(n), k), field)], dtype=bool)
     return x, y, serial, subset
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fqexchange import experiments
+from fqexchange import cli, experiments
 from fqexchange.cli import build_parser, main
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, serial_check
 from fqexchange.matfq import read_matrix_text
@@ -218,6 +218,8 @@ def test_trend_rejects_q_above_256(capsys):
         ["crosscheck", "--q", "3", "--k", "6", "--n", "8"],
         ["exhaustive", "--q", "3", "--n", "0"],
         ["exhaustive", "--q", "3", "--n", "-2"],
+        ["trend", "--q", "2", "--k", "17", "--n", "17", "--trials", "1"],
+        ["verify", "conditional", "--q", "2", "--k", "17", "--n", "17", "--trials", "1"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -487,3 +489,27 @@ def test_serial_contract(data, tmp_path):
     x1, x2 = tuple(int(p) for p in x1.split(",") if p), tuple(int(p) for p in x2 if p)
     inst = ExchangeInstance(_read(paths[0]), _read(paths[1]), x1, x2)
     assert serial_check(inst, SerialCertificate.from_text(cert)), (argv, out)
+
+
+def test_main_reuses_one_parser(capsys):
+    # main builds its parser once per process; a run of calls that mixes
+    # subcommands, repeated flags and failing argv (exit 2) must give each
+    # call the exit code and output a freshly built parser gives it
+    argvs = [
+        ["trend", "--q", "3", "--k", "2", "--n", "6", "--n", "8", "--trials", "20", "--seed", "1"],
+        ["trend", "--q", "3", "--k", "two", "--n", "8"],
+        ["estimate", "alpha", "--q", "3", "--k", "2", "--trials", "50", "--seed", "2", "--format", "json"],
+        ["crosscheck", "--q", "3", "--k", "2", "--n", "4", "--instances", "5", "--seed", "3"],
+        ["verify", "zprime", "--q", "3", "--k", "2", "--n", "8", "--trials", "0"],
+        ["trend", "--q", "3", "--k", "2", "--n", "6", "--trials", "20", "--seed", "1"],
+        ["bogus"],
+        ["trend", "--q", "3", "--k", "2", "--n", "6", "--n", "8", "--trials", "20", "--seed", "1"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 2, 0, 2, 0]

@@ -1,6 +1,7 @@
 """Exchange relations: arrows, set exchange, serial search and its oracles."""
 
 from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -508,6 +509,127 @@ def test_find_serial_partner_matches_reference_dfs(q, n, k):
                     break
             got = find_serial_partner(b1, x1, b2, mode=mode)
             assert (None if got is None else (got[0], _cert_pair(got[1]))) == want
+
+
+def _check_lockstep(vp, up, x1, x2, field):
+    """_search_stack's certificates and _scan's serial bits against ref_search_reduced, for one stack."""
+    want = [ref_search_reduced(vp[t].tolist(), up[t].tolist(), tuple(x1[t].tolist()), tuple(x2[t].tolist()), field)
+            for t in range(len(x1))]
+    assert [_cert_pair(cert) for cert in exchange._search_stack(vp, up, x1, x2, field)] == want
+    i = np.arange(len(x1))[:, None, None]
+    a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+    assert exchange._scan(a, b, field)[2].tolist() == [cert is not None for cert in want]
+    return want
+
+
+def _random_reduced_stack(q, k, n, count, seed):
+    """count reduced pairs of random GF(q) bases of rank n, with random sorted k-sets on each side."""
+    field = make_field(q)
+    rngs = [derive_rng(seed, q * 10 + k, t) for t in range(count)]
+    m1, m2 = random_full_ranks(rngs, n, field), random_full_ranks(rngs, n, field)
+    x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]) for _ in range(2))
+    return (*exchange._reduced_pairs(m1, m2, field), x1, x2, field)
+
+
+@pytest.mark.parametrize("unit_slices", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_lockstep_search_matches_reference_dfs(monkeypatch, q, unit_slices):
+    # one stack of instances a k, k = 1 .. 7, searched together; once with
+    # every slice of the search holding one candidate
+    if unit_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    later = 0
+    for k in range(1, 8):
+        want = _check_lockstep(*_random_reduced_stack(q, k, k + 2, 20, seed=83))
+        assert any(cert is not None for cert in want)
+        later += sum(list(sigma) != sorted(sigma) or list(tau) != sorted(tau) for sigma, tau in filter(None, want))
+    assert later > 0  # some search went past the first child
+
+
+def _swap_both_ways(m1, m2, x1, x2, field):
+    """Whether swapping the whole sets x1 and x2 gives bases both ways, in full coordinates."""
+    cols = exchange._columns(m1, m2)
+    return [hit is not None for hit in exchange._first_hit(cols, x1, x2, [(range(x1.shape[-1]),) * 2],
+                                                           np.arange(x1.shape[-1])[None], field)]
+
+
+@pytest.mark.parametrize("unit_slices", [False, True])
+def test_lockstep_search_on_two_way_blocks_that_are_not_serial(monkeypatch, unit_slices):
+    # blocks whose full exchange is valid both ways but that have no serial
+    # ordering, which make the search backtrack to the root: the frozen
+    # GF(2) pair, the two 6b gap instances of the k = 2 crosscheck at the
+    # acceptance seed, and GF(2) reduced pairs at k = 2 .. 5 with their
+    # two-way blocks, serial or not
+    if unit_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    vp, up = _reduced_pair(basis(F2, TWO_SERIAL_GAP_B1), basis(F2, TWO_SERIAL_GAP_B2))
+    assert _check_lockstep(vp[None], up[None], np.array([[1, 2]]), np.array([[1, 2]]), F2) == [None]
+    rngs = [derive_rng(271828, 0, t) for t in (101, 469)]
+    m1, m2 = random_full_ranks(rngs, 6, F3), random_full_ranks(rngs, 6, F3)
+    x1, x2 = (np.array([np.sort(rng.choice(6, size=2, replace=False)) for rng in rngs]) for _ in range(2))
+    gap = (*exchange._reduced_pairs(m1, m2, F3), x1, x2, F3)
+    assert _swap_both_ways(m1, m2, x1, x2, F3) == [True, True]
+    assert _check_lockstep(*gap) == [None, None]
+    for k in range(2, 6):
+        vp, up, x1, x2, field = _random_reduced_stack(2, k, k + 1, 300, seed=89)
+        i = np.arange(len(x1))[:, None, None]
+        two_way = exchange._nonsingular(np.concatenate(
+            [vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]]), field).reshape(2, -1).all(axis=0)
+        want = _check_lockstep(vp[two_way], up[two_way], x1[two_way], x2[two_way], field)
+        assert None in want and len(set(filter(None, want))) > 1
+
+
+@pytest.mark.parametrize("unit_slices", [False, True])
+def test_first_serial_gives_each_instance_its_first_partner(monkeypatch, unit_slices):
+    # a stack of instances scanning one candidate list, aligned blocks or
+    # all subsets: each gets the first candidate with a serial ordering, and
+    # its certificate, as a one-at-a-time scan with ref_search_reduced
+    if unit_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    vp, up, x1, _, field = _random_reduced_stack(3, 2, 6, 30, seed=97)
+    for cands, misses in (([(0, 1), (2, 3), (4, 5)], True), (list(combinations(range(6), 2)), False)):
+        want = []
+        for t in range(len(x1)):
+            certs = ((cand, ref_search_reduced(vp[t].tolist(), up[t].tolist(), tuple(x1[t].tolist()), cand, field))
+                     for cand in cands)
+            want.append(next(((cand, cert) for cand, cert in certs if cert is not None), None))
+        got = exchange._first_serial(vp, up, x1, iter(cands), field)
+        assert [None if hit is None else (hit[0], _cert_pair(hit[1])) for hit in got] == want
+        assert (None in want) == misses and len({hit[0] for hit in want if hit is not None}) > 1
+
+
+def test_lockstep_search_on_an_empty_stack():
+    for k in (0, 1, 3):
+        empty = np.zeros((0, 4, 4), dtype=np.uint8), np.zeros((0, 4, 4), dtype=np.uint8)
+        assert exchange._search_stack(*empty, *(np.zeros((0, k), dtype=np.intp),) * 2, F3) == []
+        assert [bits.shape for bits in exchange._scan(np.zeros((0, k, k), dtype=np.uint8), np.zeros((0, k, k), dtype=np.uint8), F3)] == [(0,)] * 3
+
+
+def test_lockstep_memo_bounds_the_work(monkeypatch):
+    # each prefix state is expanded at most once, so a candidate gets at
+    # most sum_s C(k, s)^2 (k - s)^2 child tests, however much it backtracks;
+    # a state's children, as _minors_ok is given them, name the state
+    tests, expanded = [], set()
+    minors_ok = exchange._minors_ok
+
+    def counting(a, b, c, rows, cols, field):
+        np.add.at(tests[-1], c, rows.shape[1] ** 2)
+        for state in zip(c.tolist(), map(bytes, rows.astype(np.int8)), map(bytes, cols.astype(np.int8))):
+            assert (len(tests), *state) not in expanded
+            expanded.add((len(tests), *state))
+        return minors_ok(a, b, c, rows, cols, field)
+
+    monkeypatch.setattr(exchange, "_minors_ok", counting)
+    backtracked = 0
+    for k in range(2, 7):
+        vp, up, x1, x2, field = _random_reduced_stack(2, k, k + 1, 300, seed=89)
+        i = np.arange(len(x1))[:, None, None]
+        a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+        tests.append(np.zeros(len(a), dtype=np.intp))
+        y, x, serial = exchange._scan(a, b, field)
+        assert tests[-1].max() <= sum(comb(k, s) ** 2 * (k - s) ** 2 for s in range(k))
+        backtracked += (tests[-1][x & y & ~serial] > k * k).sum()  # failed past the root's children
+    assert backtracked > 0
 
 
 # --- certificate text format ---
