@@ -11,7 +11,9 @@ any, else 0.  From the repository root:
     python3 scripts/same_bytes.py --base HEAD~1
 
 The list holds the nine commands of acceptance criterion 11, ``exhaustive``
-at (q, n) = (2, 2), (3, 3) and (3, 4), ``crosscheck`` at q = 3 with k = 2
+at (q, n) = (2, 2), (3, 3) and (3, 4), at (2, 4) (GF(2) in sampled mode)
+and at (3, 2) (all 2304 basis pairs enumerated, the largest single
+stack), ``crosscheck`` at q = 3 with k = 2
 (which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4,
 ``serial`` in both modes on two generated GF(3) bases, and three GF(3)
 ``trend`` rows for the serial search at larger k and in the all-subsets
@@ -62,6 +64,8 @@ COMMANDS = {
     "trend_json": ["trend", "--q", "3", "--k", "2", "--n", "8", "--trials", "200", "--seed", SEED, "--format", "json"],
     "exhaustive_q3_n3": ["exhaustive", "--q", "3", "--n", "3", "--pairs", "200", "--seed", SEED],
     "exhaustive_q3_n4": ["exhaustive", "--q", "3", "--n", "4", "--pairs", "200", "--seed", SEED],
+    "exhaustive_q2_n4": ["exhaustive", "--q", "2", "--n", "4", "--pairs", "200", "--seed", SEED],
+    "exhaustive_q3_n2": ["exhaustive", "--q", "3", "--n", "2", "--seed", SEED],
     "crosscheck_k2": ["crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "500", "--seed", SEED],
     "crosscheck_k3": ["crosscheck", "--q", "3", "--k", "3", "--n", "6", "--instances", "500", "--seed", SEED],
     "crosscheck_k5": ["crosscheck", "--q", "3", "--k", "5", "--n", "6", "--instances", "4", "--seed", SEED],

@@ -4,29 +4,31 @@ Ordered bases are indexed families of column vectors (one n x n full-rank
 matrix), and every replacement is positional: column j of the target is
 overwritten by a designated source column.  With positional semantics a
 repeated vector simply produces a rank-deficient family, so no set
-bookkeeping is needed.  Every full-coordinate question is which swaps of
-positions of B1 with positions of B2 give bases, both ways: _swap_maps
-maps a stack of swaps to columns of [B1 | B2], _swap_bases tests the
-gathered families of a stack of basis pairs in one stacked
-matfq._nonsingular call (also the crosscheck oracle's prefix states), and
-_first_hit scans candidates for each pair's first whose swaps all pass
-(set exchange, and with one swap per prefix, serial_check and the
-crosscheck's certificate checks).  It scans a whole stack of pairs at
-once; a single pair is a stack of one.
+bookkeeping is needed.
 
-The serial questions run in reduced coordinates: row-reducing one basis
-to the identity turns every "is this replacement still a basis" question
-into whether a small square submatrix is nonsingular, which is also how
-the correctness of the reduction is argued (row operations preserve
-independence of column subsets).  A serial ordering is then a path of
-prefix states, one swap per step, whose two minors are nonsingular, and
-_minors_ok tests the children of a stack of states.  _lockstep is the
-one serial search: a depth-first search with a memo of failed states in
-which every candidate of a stack advances together, one _minors_ok call
-per state size a round.  It gives _scan's serial bits for the trial
-blocks and _search_stack's certificates for a stack of instances, and
-_first_serial runs _search_stack on slices of candidate partner sets
-(find_serial_partner and the all-subsets trial search).
+Every search runs in reduced coordinates.  Writing each basis in the
+other's coordinates, vp = B1^-1 B2 and up = B2^-1 B1 (_reduced_pairs, one
+solve), swapping positions x1 of B1 with x2 of B2 gives a basis iff the
+minor vp[x1, x2] is nonsingular, and the reverse swap iff up[x2, x1] is
+(row operations preserve independence of column subsets).  So symmetric
+exchange reads single entries, set exchange tests full blocks
+(_two_way), and a serial ordering is a path of prefix states, one swap
+per step, whose two minors are nonsingular; _minors_ok tests the children
+of a stack of states.  _lockstep is the one serial search: a depth-first
+search with a memo of failed states in which every candidate of a stack
+advances together, one _minors_ok call per state size a round.  It gives
+_scan's serial bits for the trial blocks and _search_stack's certificates
+for a stack of instances.  _first_partner is the one candidate scan: it
+runs a decision, _search_stack or _two_way, on slices of candidate
+partner sets, every instance stopping at its first hit
+(find_serial_partner, greene_woodall, the all-subsets trial search and
+the exhaustive check).
+
+Full coordinates are kept only to verify: _swap_maps maps a stack of
+swaps to columns of [B1 | B2], _swap_bases tests the gathered families
+in stacked matfq._nonsingular calls, and _serial_ok checks every prefix
+of a stack of certificates that way (serial_check and the crosscheck),
+as arrow checks one swap.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .matfq import IndexSet, MatFq, SingularBasis, _check_index_set, _nonsingula
 from .matfq import reduce_against  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 SUBSET_GATE = 10**6  # default largest C(n, k) an all-subsets search scans
-_SLICE_ENTRIES = 1 << 16  # gathered matrix entries in one stacked test: _first_hit's largest slice, _minors_ok's
+_SLICE_ENTRIES = 1 << 16  # gathered matrix entries in one stacked test: _first_partner's largest slice, _minors_ok's, _serial_ok's
 _SEARCH_MAX_K = 16  # largest k _lockstep searches: its tables hold 2^k masks and its memo C(2k, k) states a candidate
 
 
@@ -179,53 +181,27 @@ def _swap_bases(cols: np.ndarray, pair: np.ndarray, x1, x2, field: FieldSpec) ->
 
 
 def _prefixes(k: int) -> np.ndarray:
-    """_first_hit's steps for an ordering pair: row i is its prefix i (see _swap_maps)."""
+    """The steps of an ordering pair: row i is its prefix i (see _swap_maps)."""
     return np.minimum.outer(np.arange(k), np.arange(k))
 
 
-def _first_hit(
-    cols: np.ndarray, ones: np.ndarray, twos: np.ndarray, pairs, steps: np.ndarray, field: FieldSpec
-) -> list[tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Each basis pair's first candidate whose swap at every step is a basis both ways, or None.
+def _serial_ok(cols: np.ndarray, sigma: np.ndarray, tau: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Whether every prefix swap of each ordering pair (sigma[i], tau[i]) gives bases both ways.
 
-    cols is a (B, 2n, n) stack of _columns and ones and twos are (B, a)
-    and (B, b) position arrays.  pairs yields candidates (u, v), index
-    tuples of one length s: in basis pair i the candidate swaps positions
-    ones[i, u] of B1 with twos[i, v] of B2.  Each row of the index array
-    steps picks one swap out of them (the whole sets, or a prefix).
-
-    Candidates go in lexicographic slices, one slice for every pair still
-    without a hit, and a pair leaves the stack at its first hit.  A slice
-    holds as many candidates as fit a budget of gathered entries per pair
-    left, the first budget an eighth of _SLICE_ENTRIES and each next twice
-    the last, up to it: an early witness costs one small call, and a list
-    without one few calls.  Each slice is tested in stacked calls of at
-    most _SLICE_ENTRIES gathered entries.  Returns each pair's hit as the
-    position tuples (ones[i, u], twos[i, v]).
+    cols is a (B, 2n, n) stack of _columns and sigma and tau are (B, k)
+    position arrays, one ordering pair a basis pair.  Every prefix is
+    swapped in full coordinates, in stacked _swap_bases calls of at most
+    _SLICE_ENTRIES gathered entries, or one basis pair.
     """
-    pairs = iter(pairs)
-    per_pair = max(2 * len(steps) * cols.shape[-1] ** 2, 1)
-    hits = [None] * len(cols)
-    live = np.arange(len(cols))
-    budget = _SLICE_ENTRIES >> 3
-    while live.size and (chunk := list(islice(pairs, max(1, budget // (per_pair * live.size))))):
-        u = np.array([cand[0] for cand in chunk], dtype=np.intp)
-        v = np.array([cand[1] for cand in chunk], dtype=np.intp)
-        at = live[:, None, None]
-        x1, x2 = ones[at, u], twos[at, v]  # (live, len(chunk), s)
-        s1, s2 = x1[:, :, steps], x2[:, :, steps]
-        group = max(1, _SLICE_ENTRIES // (per_pair * len(chunk)))  # pairs per stacked call
-        ok = np.concatenate([
-            _swap_bases(cols, at[lo:lo + group], s1[lo:lo + group], s2[lo:lo + group], field)
-            for lo in range(0, live.size, group)
-        ]).all(axis=(2, 3))
-        found = ok.any(axis=1)
-        for i in np.flatnonzero(found):
-            c = int(ok[i].argmax())
-            hits[live[i]] = (tuple(x1[i, c].tolist()), tuple(x2[i, c].tolist()))
-        live = live[~found]
-        budget = min(2 * budget, _SLICE_ENTRIES)
-    return hits
+    k, n = sigma.shape[-1], cols.shape[-1]
+    steps = _prefixes(k)
+    ok = np.empty(len(cols), dtype=bool)
+    group = max(1, _SLICE_ENTRIES // max(2 * k * n * n, 1))
+    for lo in range(0, len(cols), group):
+        at = np.arange(lo, min(lo + group, len(cols)))
+        ok[lo:lo + group] = _swap_bases(cols, at[:, None], sigma[at[:, None, None], steps],
+                                        tau[at[:, None, None], steps], field).all(axis=(1, 2))
+    return ok
 
 
 def arrow(bfrom: OrderedBasis, xfrom: IndexSet, bto: OrderedBasis, xto: IndexSet) -> bool:
@@ -238,44 +214,13 @@ def arrow(bfrom: OrderedBasis, xfrom: IndexSet, bto: OrderedBasis, xto: IndexSet
     return _rank_of(np.hstack([bto.matrix.entries, bfrom.matrix.entries])[:, cols], bto.field) == bto.n
 
 
-def symmetric_partners(b1: OrderedBasis, x: int, b2: OrderedBasis) -> tuple[int, ...]:
-    """All positions y of b2 such that x and y exchange symmetrically.
-
-    Guaranteed nonempty; an empty result would indicate a bug.
-    """
-    _check_index_set((x,), b1.n, "x")
-    cols = _columns(b1.matrix.entries, b2.matrix.entries)[None]
-    both = _swap_bases(cols, np.zeros(b2.n, dtype=np.intp), [x], np.arange(b2.n)[:, None], b1.field).all(axis=-1)
-    return tuple(int(y) for y in np.flatnonzero(both))
-
-
-def greene_woodall(b1: OrderedBasis, x1: IndexSet, b2: OrderedBasis) -> tuple[int, ...]:
-    """Lexicographically least x2 with the two-way arrow relation to x1.
-
-    Set exchange guarantees a witness exists for every nonempty x1.
-    """
-    x1 = _check_index_set(x1, b1.n, "x1")
-    if not x1:
-        raise ValueError("x1 must be nonempty")
-    k = len(x1)
-    cols = _columns(b1.matrix.entries, b2.matrix.entries)[None]
-    cands = ((range(k), cand) for cand in combinations(range(b2.n), k))
-    hit = _first_hit(cols, np.array([x1]), np.arange(b2.n)[None], cands, np.arange(k)[None], b1.field)[0]
-    if hit is None:
-        raise ExhaustedWithoutWitness(
-            f"no {k}-subset of the second basis exchanges with {x1}; this should be impossible"
-        )
-    return hit[1]
-
-
 def serial_check(inst: ExchangeInstance, cert: SerialCertificate) -> bool:
     """Verify a certificate by testing all 2k prefix replacements directly, in one stacked call."""
     if sorted(cert.sigma) != sorted(inst.x1) or sorted(cert.tau) != sorted(inst.x2):
         raise ValueError("certificate orderings do not range over the instance sets")
     cols = _columns(inst.b1.matrix.entries, inst.b2.matrix.entries)[None]
-    sigma, tau = (np.array([order], dtype=np.intp) for order in (cert.sigma, cert.tau))
-    whole = [(range(inst.k), range(inst.k))]
-    return _first_hit(cols, sigma, tau, whole, _prefixes(inst.k), inst.b1.field)[0] is not None
+    sigma, tau = (np.array([order], dtype=np.intp).reshape(1, inst.k) for order in (cert.sigma, cert.tau))
+    return bool(_serial_ok(cols, sigma, tau, inst.b1.field)[0])
 
 
 def _reduced_pairs(m1: np.ndarray, m2: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +374,23 @@ def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, n
     return y, x, serial
 
 
+def _blocks(vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, at: np.ndarray | None = None):
+    """The full blocks vp[x1, x2] and up[x2, x1] of a stack of instances, instance i in pair at[i] (default i)."""
+    i = (np.arange(len(x1)) if at is None else at)[:, None, None]
+    return vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+
+
+def _two_way(
+    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec, at: np.ndarray | None = None
+) -> np.ndarray:
+    """Whether each instance's whole sets swap to bases both ways, in one _nonsingular call.
+
+    The arguments are _search_stack's: the swaps are bases iff both full
+    blocks vp[x1, x2] and up[x2, x1] are nonsingular.
+    """
+    return _nonsingular(np.concatenate(_blocks(vp, up, x1, x2, at)), field).reshape(2, -1).all(axis=0)
+
+
 def _search_stack(
     vp: np.ndarray, up: np.ndarray, x1: np.ndarray, x2: np.ndarray, field: FieldSpec, at: np.ndarray | None = None
 ) -> list[SerialCertificate | None]:
@@ -442,8 +404,7 @@ def _search_stack(
     _lockstep search runs on the instances where both pass, so each
     certificate is the first in lexicographic position order.
     """
-    i = (np.arange(len(x1)) if at is None else at)[:, None, None]
-    a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+    a, b = _blocks(vp, up, x1, x2, at)
     live = np.flatnonzero(_nonsingular(np.concatenate([a, b]), field).reshape(2, -1).all(axis=0))
     found, steps = _lockstep(a, b, live, field)
     live, (row, col) = live[found], np.divmod(steps[found], max(x1.shape[-1], 1))
@@ -454,36 +415,69 @@ def _search_stack(
     return certs
 
 
-def _first_serial(
-    vp: np.ndarray, up: np.ndarray, x1: np.ndarray, cands, field: FieldSpec
-) -> list[tuple[tuple[int, ...], SerialCertificate] | None]:
-    """Each instance's first candidate partner set serially exchangeable with its x1, and the certificate.
+def _first_partner(vp: np.ndarray, up: np.ndarray, x1: np.ndarray, cands, field: FieldSpec, decide) -> list:
+    """Each instance's first candidate partner set that decide accepts, and decide's answer for it, or None.
 
     vp and up are stacks of reduced pairs as in _search_stack, x1 a (B, k)
     array of sorted positions, and cands yields sorted k-tuples of
-    positions, the same for every instance.  Candidates go in slices as in
-    _first_hit: every instance still without a hit searches the next
-    slice in one _search_stack call, and leaves the stack at its first
-    hit.  A slice gathers at most a budget of block entries, the first an
-    eighth of _SLICE_ENTRIES and each next twice the last, up to it.
+    positions, the same for every instance.  decide takes _search_stack's
+    arguments and gives every instance of a stack an answer, falsy where
+    it misses: _search_stack a certificate, _two_way a bool.  Candidates
+    go in lexicographic slices: every instance still without a hit
+    decides the next slice in one decide call, and leaves the stack at its
+    first hit.  A slice gathers at most a budget of block entries, the
+    first an eighth of _SLICE_ENTRIES and each next twice the last, up to
+    it: an early witness costs one small call, and a list without one few
+    calls.  Returns each instance's hit as (candidate, answer).
     """
     cands = iter(cands)
     k = x1.shape[-1]
-    hits = [None] * len(vp)
-    live = np.arange(len(vp))
+    hits = [None] * len(x1)
+    live = np.arange(len(x1))
     budget = _SLICE_ENTRIES >> 3
     while live.size and (chunk := list(islice(cands, max(1, budget // (max(2 * k * k, 1) * live.size))))):
         at = np.repeat(live, len(chunk))
         twos = np.tile(np.array(chunk, dtype=np.intp).reshape(len(chunk), k), (live.size, 1))
-        certs = _search_stack(vp, up, x1[at], twos, field, at)
-        ok = np.array([cert is not None for cert in certs], dtype=bool).reshape(live.size, len(chunk))
+        answers = decide(vp, up, x1[at], twos, field, at)
+        ok = np.fromiter(map(bool, answers), dtype=bool, count=len(at)).reshape(live.size, len(chunk))
         found = ok.any(axis=1)
         for t in np.flatnonzero(found):
             c = int(ok[t].argmax())
-            hits[live[t]] = (tuple(chunk[c]), certs[t * len(chunk) + c])
+            hits[live[t]] = (tuple(chunk[c]), answers[t * len(chunk) + c])
         live = live[~found]
         budget = min(2 * budget, _SLICE_ENTRIES)
     return hits
+
+
+def symmetric_partners(b1: OrderedBasis, x: int, b2: OrderedBasis) -> tuple[int, ...]:
+    """All positions y of b2 such that x and y exchange symmetrically.
+
+    A single swap is a basis both ways iff its two 1 x 1 minors, vp[x, y]
+    and up[y, x], are nonzero.  Guaranteed nonempty; an empty result would
+    indicate a bug.
+    """
+    _check_index_set((x,), b1.n, "x")
+    vp, up = _reduced_pair(b1, b2)
+    return tuple(np.flatnonzero((vp[x] != 0) & (up[:, x] != 0)).tolist())
+
+
+def greene_woodall(b1: OrderedBasis, x1: IndexSet, b2: OrderedBasis) -> tuple[int, ...]:
+    """Lexicographically least x2 with the two-way arrow relation to x1.
+
+    Set exchange guarantees a witness exists for every nonempty x1.
+    """
+    x1 = _check_index_set(x1, b1.n, "x1")
+    if not x1:
+        raise ValueError("x1 must be nonempty")
+    k = len(x1)
+    vp, up = _reduced_pair(b1, b2)
+    ones = np.array([sorted(x1)], dtype=np.intp)
+    hit = _first_partner(vp[None], up[None], ones, combinations(range(b2.n), k), b1.field, _two_way)[0]
+    if hit is None:
+        raise ExhaustedWithoutWitness(
+            f"no {k}-subset of the second basis exchanges with {x1}; this should be impossible"
+        )
+    return hit[0]
 
 
 def _search_reduced(
@@ -537,4 +531,5 @@ def find_serial_partner(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     vp, up = _reduced_pair(b1, b2)
-    return _first_serial(vp[None], up[None], np.array([sorted(x1)], dtype=np.intp), candidates, b1.field)[0]
+    ones = np.array([sorted(x1)], dtype=np.intp)
+    return _first_partner(vp[None], up[None], ones, candidates, b1.field, _search_stack)[0]

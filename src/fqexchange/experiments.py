@@ -33,20 +33,18 @@ import numpy as np
 from . import exchange  # _SLICE_ENTRIES is read through the module, so a patched value holds here too
 from .exchange import (
     SUBSET_GATE,
-    OrderedBasis,
     SerialCertificate,
     _columns,
-    _first_hit,
-    _prefixes,
+    _first_partner,
     _reduced_pairs,
     _search_stack,
+    _serial_ok,
     _swap_bases,
-    greene_woodall,
-    symmetric_partners,
+    _two_way,
 )
 from .exchange import serial_check  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 from .gf import make_field
-from .matfq import MatFq, _nonsingular, _sequential, alpha, beta, nonsingular_count, random_full_ranks
+from .matfq import _nonsingular, _sequential, alpha, beta, nonsingular_count, random_full_ranks
 from .randmodel import derive_rng, sample_ordered_basis, sample_reduced, score_reduced, theorem_tail, zprime_zero_bound
 from .randmodel import run_trial  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
@@ -439,9 +437,10 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     _CROSSCHECK_CHUNK, and each step of a chunk is a stacked array
     program: the bases by lockstep rejection sampling, every reduced pair
     in one solve, the backtracking search where both full blocks pass,
-    the certificate checks in one exchange._first_hit scan over the
-    chunk, and the enumeration from one table of prefix states
-    (_brute_force_serial), whose whole-set state is the two-way test.
+    the certificate checks in full coordinates (exchange._serial_ok, one
+    ordering pair an instance), and the enumeration from one table of
+    prefix states (_brute_force_serial), whose whole-set state is the
+    two-way test.
     For k <= 2 it also counts the two-way exchangeable pairs and, among
     them, the serially certified ones, and flags the shortfall against
     the claim that every two-way exchangeable pair is serially
@@ -456,7 +455,6 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
         )
     n = config.n_values[0]
     fld = make_field(config.q)
-    whole = [(range(k), range(k))]  # the one candidate of a fixed pair of position lists
     mismatches = []
     matches = 0
     unsound = 0
@@ -474,7 +472,7 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
         sigma, tau = (np.array([getattr(certs[i], side) for i in found], dtype=np.intp).reshape(len(found), k)
                       for side in ("sigma", "tau"))
         sound = np.ones(len(rngs), dtype=bool)
-        sound[found] = [hit is not None for hit in _first_hit(cols[found], sigma, tau, whole, _prefixes(k), fld)]
+        sound[found] = _serial_ok(cols[found], sigma, tau, fld)
         kept = np.flatnonzero(sound)
         enumerated, full = _brute_force_serial(cols[kept], x1[kept], x2[kept], fld)
         oracle = dict(zip(kept.tolist(), enumerated))
@@ -509,10 +507,11 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     return Report(records, list(mismatches), metadata)
 
 
-def _all_bases(q: int, n: int) -> list[OrderedBasis]:
+def _all_bases(q: int, n: int) -> np.ndarray:
+    """Every nonsingular n x n matrix over GF(q), as a stack."""
     fld = make_field(q)
     every = np.array(list(product(range(q), repeat=n * n)), dtype=np.uint8).reshape(-1, n, n)
-    return [OrderedBasis(MatFq(fld, m), validate=False) for m in every[_nonsingular(every, fld)]]
+    return every[_nonsingular(every, fld)]
 
 
 def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> Report:
@@ -521,7 +520,11 @@ def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> 
     Enumerates every ordered basis pair when the pair count is within
     _ENUMERATE_LIMIT, otherwise samples sample_pairs pairs.  Every (pair,
     subset) case must produce a set-exchange witness and every (pair,
-    element) case a symmetric partner.
+    element) case a symmetric partner.  All pairs go as one stack: one
+    solve gives every reduced pair, each subset x1 is one
+    exchange._first_partner scan with exchange._two_way over all of them,
+    and the symmetric partners of every (pair, element) are one array
+    step, a single swap being a basis iff its 1 x 1 minor is nonzero.
     """
     if q not in (2, 3) or n > 4 or n < 1:
         raise ValueError("exhaustive check supports q in {2, 3} and 1 <= n <= 4")
@@ -529,36 +532,30 @@ def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> 
     total_pairs = nonsingular_count(n, q) ** 2
     if total_pairs <= _ENUMERATE_LIMIT:
         bases = _all_bases(q, n)
-        pairs = [(b1, b2) for b1 in bases for b2 in bases]
+        m1, m2 = np.repeat(bases, len(bases), axis=0), np.tile(bases, (len(bases), 1, 1))
         mode = "enumerated"
     else:
         rng = derive_rng(seed, 0, 0)
-        pairs = [
-            (sample_ordered_basis(rng, n, fld), sample_ordered_basis(rng, n, fld))
-            for _ in range(sample_pairs)
-        ]
+        drawn = [sample_ordered_basis(rng, n, fld).matrix.entries for _ in range(2 * sample_pairs)]
+        m1, m2 = (np.array(drawn[side::2], dtype=np.uint8).reshape(sample_pairs, n, n) for side in (0, 1))
         mode = "sampled"
-    gw_ok = 0
-    sym_ok = 0
+    vp, up = _reduced_pairs(m1, m2, fld)
     flags = []
     subsets = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
-    for b1, b2 in pairs:
-        for x1 in subsets:
-            try:
-                greene_woodall(b1, x1, b2)
-                gw_ok += 1
-            except Exception as exc:  # witness guaranteed; any failure is a finding
-                flags.append(f"greene_woodall failed for x1={x1}: {exc}")
-        for x in range(n):
-            if symmetric_partners(b1, x, b2):
-                sym_ok += 1
-            else:
-                flags.append(f"symmetric_partners empty for x={x}")
+    gw_ok = 0
+    for x1 in subsets:
+        ones = np.tile(np.array(x1, dtype=np.intp), (len(vp), 1))
+        hits = _first_partner(vp, up, ones, combinations(range(n), len(x1)), fld, _two_way)
+        gw_ok += sum(hit is not None for hit in hits)
+        flags += [f"pair {p}: no set-exchange witness for x1={x1}" for p, hit in enumerate(hits) if hit is None]
+    has_partner = ((vp != 0) & (up.swapaxes(1, 2) != 0)).any(axis=2)  # [p, x]: some y with vp[x, y] and up[y, x] nonzero
+    flags += [f"pair {p}: no symmetric partner for x={x}" for p, x in zip(*np.nonzero(~has_partner))]
     records = [
-        _record(name, ok, len(pairs) * cases, bounded=False, q=q, n=n, analytic=1.0, seed=seed)
-        for name, ok, cases in (("greene_woodall_witness", gw_ok, len(subsets)), ("symmetric_partner_nonempty", sym_ok, n))
+        _record(name, ok, len(vp) * cases, bounded=False, q=q, n=n, analytic=1.0, seed=seed)
+        for name, ok, cases in (("greene_woodall_witness", gw_ok, len(subsets)),
+                                ("symmetric_partner_nonempty", int(has_partner.sum()), n))
     ]
-    metadata = {"experiment": "exhaustive_small", "mode": mode, "pairs": len(pairs)}
+    metadata = {"experiment": "exhaustive_small", "mode": mode, "pairs": len(vp)}
     return Report(records, flags, metadata)
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _first_serial, _scan, _search_reduced
+from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _first_partner, _scan, _search_reduced, _search_stack
 from .gf import FieldSpec
 from .matfq import _matmul, _solve, beta, random_full_rank
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
@@ -162,8 +162,8 @@ def score_reduced(
     exchange._scan; the bits come back as (trials, ell) bool arrays.  With
     exhaustive set (and the subset count within gate) the all-subsets
     search also runs, every trial at once, each stopping at its first
-    serial k-subset (exchange._first_serial), giving a (trials,) bool
-    array; otherwise that entry is None.
+    serial k-subset (exchange._first_partner with exchange._search_stack),
+    giving a (trials,) bool array; otherwise that entry is None.
     """
     trials, k, n = r.shape
     ell = block_partition(n, k).ell
@@ -175,7 +175,8 @@ def score_reduced(
     subset = None
     if exhaustive and comb(n, k) <= gate:
         u1 = np.broadcast_to(np.arange(k), (trials, k))
-        subset = np.array([hit is not None for hit in _first_serial(r, c, u1, combinations(range(n), k), field)], dtype=bool)
+        hits = _first_partner(r, c, u1, combinations(range(n), k), field, _search_stack)
+        subset = np.array([hit is not None for hit in hits], dtype=bool)
     return x, y, serial, subset
 
 

@@ -12,11 +12,11 @@ scan of every ordering pair that tests each of its prefixes anew.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
-from fqexchange.exchange import SerialCertificate, _first_hit, _prefixes
+from fqexchange.exchange import SerialCertificate, _prefixes, _swap_bases
 from fqexchange.gf import FieldSpec, make_field
 
 
@@ -222,10 +222,23 @@ def ref_brute_force_serial(cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, fie
     """Each instance's first serial ordering pair, by testing all (k!)^2 pairs one by one.
 
     cols is a (B, 2n, n) stack of exchange._columns and x1 and x2 (B, k)
-    position arrays.  exchange._first_hit scans the ordering pairs in
-    permutations order and tests every prefix swap of every pair, so a
+    position arrays.  Ordering pairs go in permutations order, one
+    instance and one sigma at a time: the k! pairs of a sigma are one
+    direct exchange._swap_bases call over every prefix of every pair, so a
     prefix family is tested again for each pair that reaches it.
     """
-    orders = list(permutations(range(x1.shape[-1])))
-    hits = _first_hit(cols, x1, x2, product(orders, orders), _prefixes(x1.shape[-1]), field)
-    return [None if hit is None else SerialCertificate(*hit) for hit in hits]
+    k = x1.shape[-1]
+    orders = np.array(list(permutations(range(k))), dtype=np.intp).reshape(-1, k)
+    steps = _prefixes(k)
+    certs = []
+    for i in range(len(cols)):
+        taus = x2[i, orders]
+        cert = None
+        for sigma in x1[i, orders]:
+            ones = np.broadcast_to(sigma[steps], (len(taus), k, k))
+            ok = _swap_bases(cols, np.full((len(taus), 1), i), ones, taus[:, steps], field).all(axis=(1, 2))
+            if ok.any():
+                cert = SerialCertificate(tuple(sigma.tolist()), tuple(taus[ok.argmax()].tolist()))
+                break
+        certs.append(cert)
+    return certs

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_experiments import _zero_one_pair
 from fqexchange import cli, experiments
 from fqexchange.cli import build_parser, main
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, serial_check
@@ -167,6 +168,20 @@ def test_exhaustive_small_cli(capsys):
     code, out, err = run(capsys, "exhaustive", "--q", "2", "--n", "2", "--seed", "0")
     assert code == 0
     assert "greene_woodall_witness,2,n/a,2,108,108," in out
+
+
+def test_exhaustive_missing_witness_exits_one(capsys, monkeypatch):
+    # a missing witness is reported as FLAG lines on stderr and exit 1;
+    # here basis pair 3's vp is zeroed, so all its 3 subsets and 2
+    # elements miss
+    _zero_one_pair(monkeypatch, 3)
+    code, out, err = run(capsys, "exhaustive", "--q", "2", "--n", "2", "--seed", "0")
+    assert code == 1
+    assert "greene_woodall_witness,2,n/a,2,108,105," in out
+    assert "symmetric_partner_nonempty,2,n/a,2,72,70," in out
+    flags = [line for line in err.splitlines() if line.startswith("FLAG: ")]
+    assert flags == [f"FLAG: pair 3: no set-exchange witness for x1={x1}" for x1 in ((0,), (1,), (0, 1))] + [
+        f"FLAG: pair 3: no symmetric partner for x={x}" for x in (0, 1)]
 
 
 def test_verify_zprime_cli_small(capsys):

@@ -1,6 +1,6 @@
 """Exchange relations: arrows, set exchange, serial search and its oracles."""
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepted_q, ref_is_basis, ref_matmul, ref_search_reduced
+from conftest import accepted_q, ref_det, ref_is_basis, ref_matmul, ref_search_reduced
 from fqexchange import exchange
 from fqexchange.exchange import (
     DimensionMismatch,
@@ -217,33 +217,33 @@ def test_set_and_symmetric_exchange_match_plain_column_lists(monkeypatch, q, one
     assert later > 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("unit_slices", [False, True])
-def test_stacked_scanner_matches_stacks_of_one(monkeypatch, unit_slices):
-    # one _first_hit over a stack of basis pairs gives each pair the hit
-    # of its own stack-of-one scan, pairs without a hit included: for the
-    # ordering enumeration (prefix steps) and for set candidates (one
-    # whole-set step), also when every slice holds one gathered entry
+def test_set_and_symmetric_exchange_match_arrow_at_larger_n(monkeypatch, q, unit_slices):
+    # the reduced-coordinate answers against full-coordinate arrow at n = 8
+    # and 12: symmetric_partners for every x, and greene_woodall the first
+    # x2 in lexicographic order whose swap with x1 is a basis both ways, for
+    # k = 1 .. 3; once with every scanner slice holding one candidate
     if unit_slices:
         monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
-    for q, n, k in ((2, 4, 2), (3, 5, 3), (4, 6, 2)):
-        field = make_field(q)
-        rngs = [derive_rng(61, q, t) for t in range(30)]
-        m1, m2 = random_full_ranks(rngs, n, field), random_full_ranks(rngs, n, field)
-        cols = exchange._columns(m1, m2)
-        x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]) for _ in range(2))
-        orders = list(permutations(range(k)))
-        cases = (  # candidate positions of B2, candidates, steps, whether some pair has no hit
-            (x2, lambda: product(orders, orders), exchange._prefixes(k), True),
-            (np.tile(np.arange(n), (len(rngs), 1)), lambda: ((range(k), c) for c in combinations(range(n), k)),
-             np.arange(k)[None], False),
-        )
-        for twos, pairs, steps, misses in cases:
-            got = exchange._first_hit(cols, x1, twos, pairs(), steps, field)
-            want = [exchange._first_hit(cols[i:i + 1], x1[i:i + 1], twos[i:i + 1], pairs(), steps, field)[0]
-                    for i in range(len(rngs))]
-            assert got == want
-            assert (None in got) == misses
-            assert len({hit[1] for hit in got if hit is not None}) > 1
+    field = make_field(q)
+    rng = np.random.default_rng(1000 + q)
+    later = 0
+    for n in (8, 12):
+        b1, b2 = sample_ordered_basis(rng, n, field), sample_ordered_basis(rng, n, field)
+
+        def two_way(x1, x2):
+            return arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1)
+
+        for x in range(n):
+            assert symmetric_partners(b1, x, b2) == tuple(y for y in range(n) if two_way((x,), (y,)))
+        for k in (1, 2, 3):
+            for _ in range(3):
+                x1 = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+                want = next(x2 for x2 in combinations(range(n), k) if two_way(x1, x2))
+                assert greene_woodall(b1, x1, b2) == want, (b1, b2, x1)
+                later += want != tuple(range(k))
+    assert later > 0
 
 
 def test_greene_woodall_rejects_empty():
@@ -546,13 +546,6 @@ def test_lockstep_search_matches_reference_dfs(monkeypatch, q, unit_slices):
     assert later > 0  # some search went past the first child
 
 
-def _swap_both_ways(m1, m2, x1, x2, field):
-    """Whether swapping the whole sets x1 and x2 gives bases both ways, in full coordinates."""
-    cols = exchange._columns(m1, m2)
-    return [hit is not None for hit in exchange._first_hit(cols, x1, x2, [(range(x1.shape[-1]),) * 2],
-                                                           np.arange(x1.shape[-1])[None], field)]
-
-
 @pytest.mark.parametrize("unit_slices", [False, True])
 def test_lockstep_search_on_two_way_blocks_that_are_not_serial(monkeypatch, unit_slices):
     # blocks whose full exchange is valid both ways but that have no serial
@@ -568,7 +561,7 @@ def test_lockstep_search_on_two_way_blocks_that_are_not_serial(monkeypatch, unit
     m1, m2 = random_full_ranks(rngs, 6, F3), random_full_ranks(rngs, 6, F3)
     x1, x2 = (np.array([np.sort(rng.choice(6, size=2, replace=False)) for rng in rngs]) for _ in range(2))
     gap = (*exchange._reduced_pairs(m1, m2, F3), x1, x2, F3)
-    assert _swap_both_ways(m1, m2, x1, x2, F3) == [True, True]
+    assert exchange._swap_bases(exchange._columns(m1, m2), np.arange(2), x1, x2, F3).all(axis=-1).tolist() == [True, True]
     assert _check_lockstep(*gap) == [None, None]
     for k in range(2, 6):
         vp, up, x1, x2, field = _random_reduced_stack(2, k, k + 1, 300, seed=89)
@@ -579,23 +572,33 @@ def test_lockstep_search_on_two_way_blocks_that_are_not_serial(monkeypatch, unit
         assert None in want and len(set(filter(None, want))) > 1
 
 
+def _ref_two_way(vp, up, x1, x2, field):
+    """True when both full blocks vp[x1, x2] and up[x2, x1] have nonzero ref_det, else None."""
+    return (ref_det([[vp[i][j] for j in x2] for i in x1], field) != 0
+            and ref_det([[up[j][i] for i in x1] for j in x2], field) != 0) or None
+
+
 @pytest.mark.parametrize("unit_slices", [False, True])
 def test_first_serial_gives_each_instance_its_first_partner(monkeypatch, unit_slices):
     # a stack of instances scanning one candidate list, aligned blocks or
-    # all subsets: each gets the first candidate with a serial ordering, and
-    # its certificate, as a one-at-a-time scan with ref_search_reduced
+    # all subsets: each gets the first candidate the decision accepts, and
+    # the decision's answer, as a one-at-a-time scan gives them, misses
+    # included; the serial search against ref_search_reduced (the
+    # certificate) and the two-way test against ref_det (True)
     if unit_slices:
         monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
     vp, up, x1, _, field = _random_reduced_stack(3, 2, 6, 30, seed=97)
-    for cands, misses in (([(0, 1), (2, 3), (4, 5)], True), (list(combinations(range(6), 2)), False)):
-        want = []
-        for t in range(len(x1)):
-            certs = ((cand, ref_search_reduced(vp[t].tolist(), up[t].tolist(), tuple(x1[t].tolist()), cand, field))
-                     for cand in cands)
-            want.append(next(((cand, cert) for cand, cert in certs if cert is not None), None))
-        got = exchange._first_serial(vp, up, x1, iter(cands), field)
-        assert [None if hit is None else (hit[0], _cert_pair(hit[1])) for hit in got] == want
-        assert (None in want) == misses and len({hit[0] for hit in want if hit is not None}) > 1
+    for decide, ref, answer in ((exchange._search_stack, ref_search_reduced, _cert_pair),
+                                (exchange._two_way, _ref_two_way, bool)):
+        for cands, misses in (([(0, 1), (2, 3), (4, 5)], True), (list(combinations(range(6), 2)), False)):
+            want = []
+            for t in range(len(x1)):
+                answers = ((cand, ref(vp[t].tolist(), up[t].tolist(), tuple(x1[t].tolist()), cand, field))
+                           for cand in cands)
+                want.append(next(((cand, a) for cand, a in answers if a is not None), None))
+            got = exchange._first_partner(vp, up, x1, iter(cands), field, decide)
+            assert [None if hit is None else (hit[0], answer(hit[1])) for hit in got] == want
+            assert (None in want) == misses and len({hit[0] for hit in want if hit is not None}) > 1
 
 
 def test_lockstep_search_on_an_empty_stack():

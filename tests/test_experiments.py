@@ -498,9 +498,8 @@ def _random_stack(q, k, n, count, seed):
 
 
 def _two_way(cols, x1, x2, field):
-    """Whether each instance's whole sets swap to bases both ways, by _first_hit."""
-    whole = [(range(x1.shape[-1]), range(x1.shape[-1]))]
-    return [hit is not None for hit in exchange._first_hit(cols, x1, x2, whole, np.arange(x1.shape[-1])[None], field)]
+    """Whether each instance's whole sets swap to bases both ways, by one direct _swap_bases call."""
+    return exchange._swap_bases(cols, np.arange(len(cols)), x1, x2, field).all(axis=-1).tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -567,6 +566,38 @@ def test_exhaustive_small_q3_n3_sampled():
     for r in rep.records:
         assert r.successes == r.trials
     assert rep.flags == []
+
+
+def _zero_one_pair(monkeypatch, pair, column=None):
+    """Make experiments._reduced_pairs zero one basis pair's vp, or only column `column` of its up."""
+    reduced_pairs = experiments._reduced_pairs
+
+    def zeroed(m1, m2, field):
+        vp, up = reduced_pairs(m1, m2, field)
+        if column is None:
+            vp[pair] = 0
+        else:
+            up[pair, :, column] = 0
+        return vp, up
+
+    monkeypatch.setattr(experiments, "_reduced_pairs", zeroed)
+
+
+@pytest.mark.parametrize("q, n, pair, column", [(2, 2, 5, None), (3, 3, 17, None), (3, 3, 4, 1)])
+def test_exhaustive_small_flags_a_missing_witness(monkeypatch, q, n, pair, column):
+    # with one pair's vp zero, no swap from B1's side is a basis: every
+    # subset misses its set-exchange witness and every element its
+    # symmetric partner; with only column x of its up zero, no swap of x
+    # back into B1 is, so the subsets holding x and x itself miss; each
+    # miss is one flag naming the pair
+    _zero_one_pair(monkeypatch, pair, column)
+    rep = exhaustive_small(q, n, seed=1, sample_pairs=20)
+    subsets = [c for size in range(1, n + 1) for c in combinations(range(n), size)]
+    missed, lonely = (subsets, range(n)) if column is None else ([x1 for x1 in subsets if column in x1], [column])
+    gw, sym = rep.records
+    assert (gw.trials - gw.successes, sym.trials - sym.successes) == (len(missed), len(lonely))
+    assert rep.flags == ([f"pair {pair}: no set-exchange witness for x1={x1}" for x1 in missed]
+                         + [f"pair {pair}: no symmetric partner for x={x}" for x in lonely])
 
 
 def test_exhaustive_small_rejects_big_instances():
