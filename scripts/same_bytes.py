@@ -15,10 +15,13 @@ at (q, n) = (2, 2), (3, 3) and (3, 4), at (2, 4) (GF(2) in sampled mode)
 and at (3, 2) (all 2304 basis pairs enumerated, the largest single
 stack), ``crosscheck`` at q = 3 with k = 2
 (which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4,
-``serial`` in both modes on two generated GF(3) bases, and three GF(3)
+``serial`` in both modes on two generated GF(3) bases, three GF(3)
 ``trend`` rows for the serial search at larger k and in the all-subsets
 search: k = 4 at n = 20, k = 6 at n = 40, and k = 3 at n = 12 with
-``--exhaustive``.
+``--exhaustive``, a GF(251) ``trend`` row, whose field-table indices
+x * q + y come next to 2^16, ``verify zprime`` over the extension field
+GF(125), and ``verify zprime`` at n = 40 with ``--jobs 2``, through the
+process pool.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ COMMANDS = {
     "trend_k4": ["trend", "--q", "3", "--k", "4", "--n", "20", "--trials", "128", "--seed", SEED],
     "trend_k6": ["trend", "--q", "3", "--k", "6", "--n", "40", "--trials", "64", "--seed", SEED],
     "trend_exhaustive": ["trend", "--q", "3", "--k", "3", "--n", "12", "--trials", "100", "--seed", SEED, "--exhaustive"],
+    "trend_q251": ["trend", "--q", "251", "--k", "2", "--n", "12", "--trials", "200", "--seed", SEED],
+    "verify_zprime_q125": ["verify", "zprime", "--q", "125", "--k", "2", "--n", "12", "--trials", "1000", "--seed", SEED],
+    "verify_zprime_jobs2": ["verify", "zprime", "--q", "3", "--k", "2", "--n", "40", "--trials", "2048", "--seed", SEED,
+                            "--jobs", "2"],
 }
 
 

@@ -176,7 +176,7 @@ def _swap_bases(cols: np.ndarray, pair: np.ndarray, x1, x2, field: FieldSpec) ->
     """
     n = cols.shape[-1]
     maps = _swap_maps(n, x1, x2)
-    fams = cols.reshape(-1, n)[maps + (2 * n * pair)[..., None, None]]
+    fams = cols.reshape(-1, n).take(maps + (2 * n * pair)[..., None, None], axis=0)
     return _nonsingular(fams.reshape(-1, n, n), field).reshape(maps.shape[:-1])
 
 
@@ -272,17 +272,21 @@ def _minors_ok(a: np.ndarray, b: np.ndarray, c: np.ndarray, rows: np.ndarray, co
     rows and cols are (G, w, s) position arrays; entry [g, u, v] of the
     (G, w, w) result is for S = rows[g, u] and T = cols[g, v].  Row and
     column order inside a minor only flips its sign, so the sets decide
-    every prefix.  The minors are gathered as they are and tested in
-    slices of at most _SLICE_ENTRIES entries.
+    every prefix.  The minors are gathered as they are, with one take at
+    the flat indices c * k^2 + i * k + j from each of a and b, flattened
+    once a call, and tested in slices of at most _SLICE_ENTRIES entries.
     """
     g, w, s = rows.shape
+    k = a.shape[-1]
+    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
     step = max(1, _SLICE_ENTRIES // (2 * w * w * s * s))
     ok = np.empty((g, w, w), dtype=bool)
     for lo in range(0, g, step):
-        ci = c[lo:lo + step].repeat(w * w)[:, None, None]  # one entry a pair (S, T), S-major
+        ci = (c[lo:lo + step] * (k * k)).repeat(w * w)[:, None, None]  # one entry a pair (S, T), S-major
         r = rows[lo:lo + step, :, None].repeat(w, axis=2).reshape(-1, s)
         t = cols[lo:lo + step, None].repeat(w, axis=1).reshape(-1, s)
-        minors = np.concatenate([a[ci, r[:, :, None], t[:, None, :]], b[ci, t[:, :, None], r[:, None, :]]])
+        minors = np.concatenate([flat_a.take(ci + r[:, :, None] * k + t[:, None, :]),
+                                 flat_b.take(ci + t[:, :, None] * k + r[:, None, :])])
         ok[lo:lo + step] = _nonsingular(minors, field).reshape(2, -1, w, w).all(axis=0)
     return ok
 

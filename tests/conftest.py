@@ -242,3 +242,31 @@ def ref_brute_force_serial(cols: np.ndarray, x1: np.ndarray, x2: np.ndarray, fie
                 break
         certs.append(cert)
     return certs
+
+
+def layouts(stack: np.ndarray) -> dict[str, np.ndarray]:
+    """A (B, r, c) stack in the memory layouts a kernel may be handed.
+
+    The kernels read tables and stacks at flat indices through reshaped
+    views, so each layout is a case the flat form could get wrong:
+    contiguous, every other matrix of a larger stack, a window of larger
+    matrices, a transposed view, a zero-stride broadcast of the last
+    matrix, no matrices and one.
+    """
+    count, r, c = stack.shape
+    every_other = np.zeros((2 * count, r, c), dtype=stack.dtype)
+    every_other[::2] = stack
+    window = np.zeros((count, r + 1, c + 2), dtype=stack.dtype)
+    window[:, 1:, 2:] = stack
+    out = {
+        "contiguous": stack,
+        "every other": every_other[::2],
+        "window": window[:, 1:, 2:],
+        "transposed": np.ascontiguousarray(stack.swapaxes(1, 2)).swapaxes(1, 2),
+        "broadcast": np.broadcast_to(stack[-1:], (4, r, c)),
+        "empty": stack[:0],
+        "one": stack[:1],
+    }
+    if r > 1 and c > 1:
+        assert not any(out[name].flags.c_contiguous for name in ("every other", "window", "transposed", "broadcast"))
+    return out

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepted_q, ref_det, ref_is_basis, ref_matmul, ref_search_reduced
+from conftest import accepted_q, layouts, ref_det, ref_is_basis, ref_matmul, ref_search_reduced
 from fqexchange import exchange
 from fqexchange.exchange import (
     DimensionMismatch,
@@ -599,6 +599,30 @@ def test_first_serial_gives_each_instance_its_first_partner(monkeypatch, unit_sl
             got = exchange._first_partner(vp, up, x1, iter(cands), field, decide)
             assert [None if hit is None else (hit[0], answer(hit[1])) for hit in got] == want
             assert (None in want) == misses and len({hit[0] for hit in want if hit is not None}) > 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 251])
+def test_lockstep_search_on_blocks_in_every_layout(q):
+    # _minors_ok gathers minors with take at flat indices into the blocks:
+    # _lockstep and _scan on sliced, transposed and broadcast block stacks
+    # give ref_search_reduced's orderings
+    for k in (2, 3, 4):
+        vp, up, x1, x2, field = _random_reduced_stack(q, k, k + 2, 16, seed=101)
+        i = np.arange(len(x1))[:, None, None]
+        a, b = vp[i, x1[:, :, None], x2[:, None, :]], up[i, x2[:, :, None], x1[:, None, :]]
+        for (name, sa), sb, svp, sup, at in zip(layouts(a).items(), *(layouts(v).values() for v in (b, vp, up)),
+                                                layouts(np.arange(len(a)).reshape(-1, 1, 1)).values()):
+            sx1, sx2 = x1[at[:, 0, 0]], x2[at[:, 0, 0]]  # the instances each layout holds
+            want = [ref_search_reduced(v.tolist(), u.tolist(), tuple(s.tolist()), tuple(t.tolist()), field)
+                    for v, u, s, t in zip(svp, sup, sx1, sx2)]
+            assert exchange._scan(sa, sb, field)[2].tolist() == [cert is not None for cert in want], (k, name)
+            found, steps = exchange._lockstep(sa, sb, np.arange(len(sa)), field)
+            two_way = exchange._nonsingular(sa, field) & exchange._nonsingular(sb, field)
+            got = [(tuple(s[steps[t] // k].tolist()), tuple(u[steps[t] % k].tolist())) if found[t] else None
+                   for t, (s, u) in enumerate(zip(sx1, sx2))]
+            assert [g for g, ok in zip(got, two_way) if ok] == [w for w, ok in zip(want, two_way) if ok], (k, name)
+            assert all(cert is None for cert, ok in zip(want, two_way) if not ok)
+            assert [_cert_pair(cert) for cert in exchange._search_stack(svp, sup, sx1, sx2, field)] == want, (k, name)
 
 
 def test_lockstep_search_on_an_empty_stack():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepted_q, add_idx, mul_idx, ref_det, ref_matmul, ref_rank, ref_row_rank
+from conftest import accepted_q, add_idx, layouts, mul_idx, ref_det, ref_matmul, ref_rank, ref_row_rank
 from fqexchange.gf import SUPPORTED_EXTENSIONS, make_field
 from fqexchange.matfq import (
     IndexOutOfRange,
@@ -215,6 +215,39 @@ def test_stacked_kernels_at_the_top_of_the_table(k):
         if r == k:
             assert ref_matmul(m, sol, field) == rhs
     assert _matmul(a, b, field).tolist() == [ref_matmul(m, rhs, field) for m, rhs in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 251])
+def test_stacked_kernels_in_every_layout(q):
+    # the kernels read field tables and stacks with take at flat indices,
+    # through reshaped views: sliced, transposed, broadcast, empty and
+    # one-matrix stacks give what the oracles give (entries near 250 at
+    # q = 251, where the table indices come next to 2^16)
+    field = make_field(q)
+    rng = np.random.default_rng(1000 + q)
+    values = np.array([0, 247, 248, 249, 250]) if q == 251 else np.arange(q)
+    a = rng.choice(values, size=(24, 3, 3)).astype(np.uint8)
+    a[::3, 2] = a[::3, 0]  # a repeated row: singular
+    a[1] = [[0, values[-1], 1], [values[-1], 0, 0], [0, 0, 1]]  # nonsingular, not sequential
+    a[-1] = [[1, values[-1], 0], [0, 1, values[-1]], [0, 0, values[-1]]]  # sequential, the one broadcast
+    b = rng.choice(values, size=(24, 3, 4)).astype(np.uint8)
+    for (name, sa), sb in zip(layouts(a).items(), layouts(b).values()):
+        mats, rhss = sa.tolist(), sb.tolist()
+        ranks = [ref_row_rank(m, field) for m in mats]
+        assert _nonsingular(sa, field).tolist() == [ref_det(m, field) != 0 for m in mats], name
+        assert _sequential(sa, field).tolist() == [
+            all(ref_det([row[:i] for row in m[:i]], field) != 0 for i in range(1, 4)) for m in mats], name
+        found, x = _solve(sa, sb, field)
+        assert found.tolist() == ranks and x.shape == sb.shape, name
+        for m, rhs, sol, r in zip(mats, rhss, x.tolist(), ranks):
+            if r == 3:
+                assert ref_matmul(m, sol, field) == rhs, name
+        assert _matmul(sa, sb, field).tolist() == [ref_matmul(m, rhs, field) for m, rhs in zip(mats, rhss)], name
+        assert _matmul(sb.swapaxes(1, 2), sa, field).tolist() == [
+            ref_matmul(np.transpose(rhs).tolist(), m, field) for m, rhs in zip(mats, rhss)], name
+    want = [ref_det(m, field) != 0 for m in a.tolist()]
+    assert False in want and want.count(True) > 2
+    assert not _sequential(a[1:2], field)[0] and _nonsingular(a[1:2], field)[0] and _sequential(a[-1:], field)[0]
 
 
 def test_sequential_stack_k24():
