@@ -20,8 +20,10 @@ stack), ``crosscheck`` at q = 3 with k = 2
 search: k = 4 at n = 20, k = 6 at n = 40, and k = 3 at n = 12 with
 ``--exhaustive``, a GF(251) ``trend`` row, whose field-table indices
 x * q + y come next to 2^16, ``verify zprime`` over the extension field
-GF(125), and ``verify zprime`` at n = 40 with ``--jobs 2``, through the
-process pool.
+GF(125), ``verify zprime`` at n = 40 with ``--jobs 2``, through the
+process pool, and a short ``estimate alpha`` at k = 4 over GF(2) and over
+every other tabled extension field (q = 4, 8, 16, 25, 27, 32, 49, 64, 81
+and 121), so that every tabled extension field is read by some command.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ COMMANDS = {
     "verify_zprime_q125": ["verify", "zprime", "--q", "125", "--k", "2", "--n", "12", "--trials", "1000", "--seed", SEED],
     "verify_zprime_jobs2": ["verify", "zprime", "--q", "3", "--k", "2", "--n", "40", "--trials", "2048", "--seed", SEED,
                             "--jobs", "2"],
+    **{f"estimate_alpha_q{q}": ["estimate", "alpha", "--q", str(q), "--k", "4", "--trials", "1000", "--seed", SEED]
+       for q in (2, 4, 8, 16, 25, 27, 32, 49, 64, 81, 121)},
 }
 
 

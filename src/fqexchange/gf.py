@@ -1,10 +1,11 @@
 """Exact arithmetic in GF(q) for prime powers q.
 
-Elements are canonical integer indices in [0, q).  For a prime field the
-index is the residue itself; for GF(p^e) it is the base-p encoding of the
-coefficient vector (low degree first) of a polynomial of degree < e,
-reduced modulo a fixed monic irreducible polynomial.  Extension fields are
-only available for the q listed in the built-in polynomial table.
+Elements are canonical integer indices in [0, q): the base-p encoding of
+the coefficient vector (low degree first) of a polynomial of degree < e,
+reduced modulo a fixed monic irreducible polynomial.  GF(p) is the case
+e = 1 modulo x, where the index is the residue itself, and one array
+program builds the tables of every field.  Extension fields are only
+available for the q listed in the built-in polynomial table.
 """
 
 from __future__ import annotations
@@ -70,30 +71,14 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], red: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of two coefficient vectors modulo the reduction polynomial."""
-    e = len(red) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^e = -(red[0] + red[1] x + ... + red[e-1] x^{e-1})
-    for d in range(len(prod) - 1, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(e):
-                prod[d - e + j] = (prod[d - e + j] - c * red[j]) % p
-    return tuple(prod[:e])
-
-
 class FieldSpec:
     """GF(q): cardinality, characteristic, extension degree, and op tables.
 
-    Immutable after construction; instances are shared via make_field's
-    cache and safe to use concurrently.  The dense uint8 tables back the
-    vectorized matrix kernels.
+    Immutable after construction: every table, the flat views included,
+    is read-only, and instances are shared via make_field's cache and safe
+    to use concurrently.  The dense uint8 tables back the vectorized matrix
+    kernels; one construction serves every field, with GF(p) as e = 1
+    modulo x.
     """
 
     def __init__(self, q: int, p: int, e: int, reduction: tuple[int, ...] | None):
@@ -103,49 +88,26 @@ class FieldSpec:
         self.reduction = reduction
         self._build_tables()
 
-    def _digits(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def _undigits(self, digits) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
     def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        idx = np.arange(q)
-        if self.e == 1:
-            add = (idx[:, None] + idx[None, :]) % q
-            mul = (idx[:, None] * idx[None, :]) % q
-            neg = (-idx) % q
-        else:
-            digs = [self._digits(v) for v in range(q)]
-            add = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self._undigits(
-                        tuple((x + y) % p for x, y in zip(digs[a], digs[b]))
-                    )
-            mul = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    mul[a, b] = self._undigits(_poly_mul_mod(digs[a], digs[b], self.reduction, p))
-            neg = np.array(
-                [self._undigits(tuple((-x) % p for x in digs[a])) for a in range(q)]
-            )
-        inv = np.zeros(q, dtype=np.int64)
-        mul_rows = {a: list(mul[a]) for a in range(1, q)}
-        for a in range(1, q):
-            inv[a] = mul_rows[a].index(1)
-        self._add = add.astype(np.uint8)
+        """Every table from the (q, e) base-p digits of the indices, low degree first.
+
+        Products sum e shifted outer products, then fold degrees 2e - 2 .. e
+        down with x^e = -(red[0] + ... + red[e-1] x^(e-1)).
+        """
+        q, p, e = self.q, self.p, self.e
+        red = np.array(self.reduction or (0, 1), dtype=np.int64)
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
+        prod = np.zeros((q, q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            prod[..., i:i + e] += digits[:, None, i, None] * digits
+        for d in range(2 * e - 2, e - 1, -1):
+            prod[..., d - e:d] -= prod[..., d, None] * red[:e]
+        mul = prod[..., :e] % p @ place
+        self._add = ((digits[:, None] + digits) % p @ place).astype(np.uint8)
         self._mul = mul.astype(np.uint8)
-        self._neg = neg.astype(np.uint8)
-        self._inv = inv.astype(np.uint8)
+        self._neg = (-digits % p @ place).astype(np.uint8)
+        self._inv = (mul == 1).argmax(axis=1).astype(np.uint8)  # row 0 holds no 1: inv[0] = 0
         # flat forms read with take at uint16 indices x * q + y (below 2^16 for
         # q <= 251), 2.7-3x faster than a fancy index at the same array: x + y is
         # _add_flat.take(x * q + y), and _mul_q.take(x * q + y) and _neg_inv_q.take(x)
@@ -153,7 +115,7 @@ class FieldSpec:
         self._add_flat = self._add.reshape(-1)
         self._mul_q = self._mul.reshape(-1).astype(np.uint16) * np.uint16(q)
         self._neg_inv_q = self._neg[self._inv].astype(np.uint16) * np.uint16(q)
-        for t in (self._add, self._mul, self._neg, self._inv, self._mul_q, self._neg_inv_q):
+        for t in (self._add, self._add_flat, self._mul, self._neg, self._inv, self._mul_q, self._neg_inv_q):
             t.setflags(write=False)
 
     def __eq__(self, other):

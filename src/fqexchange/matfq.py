@@ -313,5 +313,7 @@ def read_matrix_text(fh: IO[str]) -> MatFq:
             if not 0 <= v < q:
                 raise ValueError(f"matrix entry {v} outside GF({q})")
         rows.append(row)
+    if fh.read().strip():
+        raise ValueError(f"matrix file has content after its {m} rows")
     arr = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, n), dtype=np.uint8)
     return MatFq(field, arr.reshape(m, n))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from test_experiments import _zero_one_pair
+from test_experiments import _zero_one_pair, substituting_search
 from fqexchange import cli, experiments
 from fqexchange.cli import build_parser, main
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, serial_check
@@ -162,6 +162,15 @@ def test_crosscheck_flagged_violation_exit_one(capsys):
     )
     assert code == 1
     assert "FLAG" in err
+
+
+def test_crosscheck_unsound_certificate_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_search_stack", substituting_search(experiments._search_stack))
+    code, out, err = run(
+        capsys, "crosscheck", "--q", "3", "--k", "3", "--n", "6", "--instances", "60", "--seed", "7"
+    )
+    assert code == 1
+    assert "returned certificate fails verification" in err
 
 
 def test_exhaustive_small_cli(capsys):
@@ -323,6 +332,16 @@ def test_serial_negative_header_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error: matrix shape -5 x 3 is negative" in err
+
+
+def test_serial_matrix_file_with_an_extra_row_exits_2(capsys, tmp_path):
+    extra = tmp_path / "extra.mat"
+    extra.write_text("3 2 2\n1 0\n0 1\n2 2\n")
+    m = write_identity(tmp_path / "id2.mat", 3, 2)
+    code, out, err = run(capsys, "serial", "--b1", str(extra), "--b2", m, "--x1", "0", "--x2", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: matrix file has content after its 2 rows" in err
 
 
 def test_serial_failure_leaves_no_out_file(capsys, tmp_path):

@@ -359,19 +359,26 @@ def _stack_of_one(inst):
     return cols, np.array([inst.x1], dtype=np.intp), np.array([inst.x2], dtype=np.intp), inst.b1.field
 
 
+def _crosscheck_instance(config, t):
+    """Instance t of crosscheck_serial, drawn alone from derive_rng(seed, 0, t)."""
+    k, n = config.k, config.n_values[0]
+    fld = make_field(config.q)
+    rng = derive_rng(config.seed, 0, t)
+    b1 = sample_ordered_basis(rng, n, fld)
+    b2 = sample_ordered_basis(rng, n, fld)
+    x1 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
+    x2 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
+    return ExchangeInstance(b1, b2, x1, x2)
+
+
 def _ref_crosscheck(config, instances):
     """crosscheck_serial as a loop over instances, each drawn, searched and checked alone."""
     k, n = config.k, config.n_values[0]
-    fld = make_field(config.q)
     mismatches = []
     matches = unsound = two_serial_total = two_serial_ok = 0
     for t in range(instances):
-        rng = derive_rng(config.seed, 0, t)
-        b1 = sample_ordered_basis(rng, n, fld)
-        b2 = sample_ordered_basis(rng, n, fld)
-        x1 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-        x2 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-        inst = ExchangeInstance(b1, b2, x1, x2)
+        inst = _crosscheck_instance(config, t)
+        b1, b2, x1, x2 = inst.b1, inst.b2, inst.x1, inst.x2
         cert = serial_search(inst)
         if cert is not None and not serial_check(inst, cert):
             unsound += 1
@@ -419,6 +426,45 @@ def test_crosscheck_matches_the_per_instance_loop(q, k, n, instances, seed):
     assert (got.records, got.flags, got.metadata) == (want.records, want.flags, want.metadata)
     if seed == 0:
         assert any("no serial certificate" in f for f in got.flags)
+
+
+def _substitute(cert, x1, x2):
+    """Where x1 starts at position 0, a certificate that may fail: sigma reversed, or the sorted sets for none."""
+    if x1[0] != 0:
+        return cert
+    if cert is None:
+        return SerialCertificate(tuple(x1), tuple(x2))
+    return SerialCertificate(cert.sigma[::-1], cert.tau)
+
+
+def substituting_search(search):
+    """search, with _substitute applied to each returned certificate, so the choice rests on the instance, not its chunk."""
+    def wrapped(vp, up, x1, x2, field, at=None):
+        certs = search(vp, up, x1, x2, field, at)
+        return [_substitute(cert, tuple(a.tolist()), tuple(b.tolist())) for cert, a, b in zip(certs, x1, x2)]
+    return wrapped
+
+
+def test_crosscheck_flags_and_leaves_out_unsound_certificates(monkeypatch):
+    # the search is wrapped so that it returns some certificates serial_check rejects: each such
+    # instance must be flagged, counted as unsound and kept out of serial_oracle_match
+    monkeypatch.setattr(experiments, "_search_stack", substituting_search(experiments._search_stack))
+    config = ExperimentConfig(q=3, k=3, n_values=(6,), trials=1, seed=7)
+    instances = 300  # spans two chunks
+    rep = crosscheck_serial(config, instances)
+    substituted, unsound = 0, []
+    for t in range(instances):
+        inst = _crosscheck_instance(config, t)
+        cert = serial_search(inst)
+        returned = _substitute(cert, inst.x1, inst.x2)
+        substituted += returned != cert
+        if returned is not None and not serial_check(inst, returned):
+            unsound.append(t)
+    assert 0 < len(unsound) < substituted  # both sound and unsound substitutes occur
+    assert rep.flags == [f"instance {t}: returned certificate fails verification" for t in unsound]
+    assert rep.metadata["unsound"] == len(unsound)
+    (match,) = [r for r in rep.records if r.name == "serial_oracle_match"]
+    assert (match.successes, match.trials) == (instances - len(unsound), instances)
 
 
 def _ref_prefix_failures(cols1, cols2, sigma, tau, field, memo):

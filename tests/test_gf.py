@@ -140,19 +140,40 @@ def _ref_scalar_ops(f):
     return radd, rmul
 
 
-@pytest.mark.parametrize("q", ALL_Q)
+@pytest.mark.parametrize("q", ALL_Q + (251,))
 def test_tables_match_reference(q):
     f = make_field(q)
     if f.e == 1:
-        idx = np.arange(q)
-        assert np.array_equal(f._add, (idx[:, None] + idx[None, :]) % q)
-        assert np.array_equal(f._mul, (idx[:, None] * idx[None, :]) % q)
+        add = [[(a + b) % q for b in range(q)] for a in range(q)]
+        mul = [[a * b % q for b in range(q)] for a in range(q)]
+        neg = [-a % q for a in range(q)]
+        inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
     else:
         radd, rmul = _ref_scalar_ops(f)
-        for a in range(q):
-            for b in range(q):
-                assert f._add[a, b] == radd(a, b)
-                assert f._mul[a, b] == rmul(a, b)
+        add = [[radd(a, b) for b in range(q)] for a in range(q)]
+        mul = [[rmul(a, b) for b in range(q)] for a in range(q)]
+        neg = [row.index(0) for row in add]
+        inv = [0] + [row.index(1) for row in mul[1:]]
+    assert f._add.tolist() == add
+    assert f._mul.tolist() == mul
+    assert f._neg.tolist() == neg
+    assert f._inv.tolist() == inv
+    # the flat forms: x + y is _add_flat[x * q + y]; _mul_q[x * q + y] is q * (x * y) and _neg_inv_q[x] is q * (-1/x)
+    assert f._add_flat.dtype == np.uint8 and f._add_flat.tolist() == sum(add, [])
+    assert f._mul_q.dtype == np.uint16 and f._mul_q.tolist() == [q * v for row in mul for v in row]
+    assert f._neg_inv_q.dtype == np.uint16 and f._neg_inv_q.tolist() == [q * neg[v] for v in inv]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 125, 251))
+def test_every_table_is_read_only(q):
+    # the fields are cached and shared: a write to any table, a view included, would change GF(q) for every caller
+    f = make_field(q)
+    tables = {name: t for name, t in vars(f).items() if isinstance(t, np.ndarray)}
+    assert {"_add", "_add_flat", "_mul", "_neg", "_inv", "_mul_q", "_neg_inv_q"} <= set(tables)
+    for name, t in tables.items():
+        assert not t.flags.writeable, name
+        with pytest.raises(ValueError):
+            t.reshape(-1)[1] = 0
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -512,6 +512,19 @@ def test_matrix_text_reads_last_row_without_newline():
     assert read_matrix_text(_EndOnce("3 0 0\n")).shape == (0, 0)
 
 
+@pytest.mark.parametrize("text", ["3 2 2\n1 0\n0 1\n2 2\n", "3 2 2\n1 0\n0 1\n\n\n 2 2", "3 2 2\n1 0\n0 1 \nx",
+                                  "3 0 0\n1\n"])
+def test_matrix_text_rejects_content_after_the_rows(text):
+    # a row more than the header declares is an input error, not a row to drop
+    with pytest.raises(ValueError, match="content after its [02] rows"):
+        read_matrix_text(_EndOnce(text))
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n", "  \n\t\n", "   "])
+def test_matrix_text_accepts_trailing_blank_lines(tail):
+    assert read_matrix_text(_EndOnce("3 2 2\n1 0\n0 1\n" + tail)) == mat(F3, [[1, 0], [0, 1]])
+
+
 @pytest.mark.parametrize("header", ["3 -5 3", "3 2 -1", "3 -1 -1"])
 def test_matrix_text_rejects_negative_shape(header):
     with pytest.raises(ValueError, match="negative"):
