@@ -162,9 +162,10 @@ def _swap_maps(n: int, x1, x2) -> np.ndarray:
 def _columns(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """The rows of [B1 | B2]^T for bases B1 = m1 and B2 = m2, or for stacks of them.
 
-    Families are gathered as rows: transposing keeps nonsingularity.
+    Families are gathered as rows: transposing keeps nonsingularity.  The
+    result is C-contiguous, so _swap_bases reshapes it without a copy.
     """
-    return np.concatenate([m1, m2], axis=-1).swapaxes(-1, -2)
+    return np.ascontiguousarray(np.concatenate([m1, m2], axis=-1).swapaxes(-1, -2))
 
 
 def _swap_bases(cols: np.ndarray, pair: np.ndarray, x1, x2, field: FieldSpec) -> np.ndarray:

@@ -5,9 +5,8 @@ in fixed chunks of _CHUNK trials, each drawn from one generator keyed by
 (seed, row, its first trial) and scored as one stack, chunks combine in a
 fixed order, and record emission is sorted, so reruns reproduce
 byte-identical CSV and JSON.  Worker processes only change wall time,
-never output.  The crosscheck draws each instance from its own generator,
-(seed, 0, instance), and runs chunks of instances as stacks: generators
-in lockstep, so how instances are chunked never changes what they draw.
+never output.  The crosscheck draws each chunk of instances whole from
+one generator, (seed, 0, chunk start), with chunk bounds set by n alone.
 
 Flag convention: a bound comparison is flagged when the empirical value
 falls more than four standard errors (computed at the bound) on the wrong
@@ -45,7 +44,7 @@ from .exchange import (
 from .exchange import serial_check  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 from .gf import make_field
 from .matfq import _nonsingular, _sequential, alpha, beta, nonsingular_count, random_full_ranks
-from .randmodel import derive_rng, sample_ordered_basis, sample_reduced, score_reduced, theorem_tail, zprime_zero_bound
+from .randmodel import derive_rng, sample_instances, sample_reduced, score_reduced, theorem_tail, zprime_zero_bound
 from .randmodel import run_trial  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 _CHUNK = 512
@@ -432,15 +431,15 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     """Backtracking verdicts against exhaustive ordering enumeration.
 
     k is at most 5, since the enumeration reads (k!)^2 ordering pairs per
-    instance.  Instance t draws from its own generator, derive_rng(seed,
-    0, t): two bases, then x1 and x2.  Instances go in chunks of at most
-    _CROSSCHECK_CHUNK, and each step of a chunk is a stacked array
-    program: the bases by lockstep rejection sampling, every reduced pair
-    in one solve, the backtracking search where both full blocks pass,
-    the certificate checks in full coordinates (exchange._serial_ok, one
-    ordering pair an instance), and the enumeration from one table of
-    prefix states (_brute_force_serial), whose whole-set state is the
-    two-way test.
+    instance.  Instances go in chunks of step instances, step set by n
+    alone, and chunk lo is drawn whole by one randmodel.sample_instances
+    call on derive_rng(seed, 0, lo), so instance t is fixed by (seed, n,
+    t) whatever the instance count.  Each step of a chunk is a stacked
+    array program: every reduced pair in one solve, the backtracking
+    search where both full blocks pass, the certificate checks in full
+    coordinates (exchange._serial_ok, one ordering pair an instance), and
+    the enumeration from one table of prefix states (_brute_force_serial),
+    whose whole-set state is the two-way test.
     For k <= 2 it also counts the two-way exchangeable pairs and, among
     them, the serially certified ones, and flags the shortfall against
     the claim that every two-way exchangeable pair is serially
@@ -456,44 +455,36 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
     n = config.n_values[0]
     fld = make_field(config.q)
     mismatches = []
-    matches = 0
-    unsound = 0
-    two_serial_total = 0
-    two_serial_ok = 0
+    matches = unsound = two_serial_total = two_serial_ok = 0
     step = max(1, min(_CROSSCHECK_CHUNK, _MAX_DRAW_BYTES // (8 * n * n)))  # the solve holds 8 n^2 entries an instance
     for lo in range(0, instances, step):
-        rngs = [derive_rng(config.seed, 0, t) for t in range(lo, min(lo + step, instances))]
-        m1, m2 = random_full_ranks(rngs, n, fld), random_full_ranks(rngs, n, fld)
-        x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs], dtype=np.intp)
-                  for _ in range(2))
+        size = min(step, instances - lo)
+        m1, m2, x1, x2 = (a[:size] for a in sample_instances(derive_rng(config.seed, 0, lo), step, n, k, fld))
         certs = _search_stack(*_reduced_pairs(m1, m2, fld), x1, x2, fld)
         cols = _columns(m1, m2)
         found = [i for i, cert in enumerate(certs) if cert is not None]
         sigma, tau = (np.array([getattr(certs[i], side) for i in found], dtype=np.intp).reshape(len(found), k)
                       for side in ("sigma", "tau"))
-        sound = np.ones(len(rngs), dtype=bool)
+        sound = np.ones(size, dtype=bool)
         sound[found] = _serial_ok(cols[found], sigma, tau, fld)
         kept = np.flatnonzero(sound)
         enumerated, full = _brute_force_serial(cols[kept], x1[kept], x2[kept], fld)
         oracle = dict(zip(kept.tolist(), enumerated))
         two_way = set(kept[full].tolist()) if k <= 2 else set()
         for i, cert in enumerate(certs):
-            t = lo + i
             if not sound[i]:
                 unsound += 1
-                mismatches.append(f"instance {t}: returned certificate fails verification")
+                mismatches.append(f"instance {lo + i}: returned certificate fails verification")
                 continue
             if (cert is None) == (oracle[i] is None):
                 matches += 1
             else:
                 mismatches.append(
-                    f"instance {t}: backtracking={'Some' if cert else 'None'} "
+                    f"instance {lo + i}: backtracking={'Some' if cert else 'None'} "
                     f"enumeration={'Some' if oracle[i] else 'None'}"
                 )
-            if i in two_way:
-                two_serial_total += 1
-                if cert is not None:
-                    two_serial_ok += 1
+            two_serial_total += i in two_way
+            two_serial_ok += i in two_way and cert is not None
     tally = [("serial_oracle_match", matches, instances)]
     if two_serial_total:  # counted for k <= 2 only
         tally.append(("two_serial_certified", two_serial_ok, two_serial_total))
@@ -504,7 +495,7 @@ def crosscheck_serial(config: ExperimentConfig, instances: int) -> Report:
         )
     records = [_record(*t, bounded=False, q=config.q, k=k, n=n, analytic=1.0, seed=config.seed) for t in tally]
     metadata = {"experiment": "crosscheck_serial", "instances": instances, "unsound": unsound}
-    return Report(records, list(mismatches), metadata)
+    return Report(records, mismatches, metadata)
 
 
 def _all_bases(q: int, n: int) -> np.ndarray:
@@ -518,10 +509,11 @@ def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> 
     """Witness existence for set exchange and symmetric exchange.
 
     Enumerates every ordered basis pair when the pair count is within
-    _ENUMERATE_LIMIT, otherwise samples sample_pairs pairs.  Every (pair,
-    subset) case must produce a set-exchange witness and every (pair,
-    element) case a symmetric partner.  All pairs go as one stack: one
-    solve gives every reduced pair, each subset x1 is one
+    _ENUMERATE_LIMIT, otherwise samples sample_pairs pairs, all their bases
+    one random_full_ranks stack from derive_rng(seed, 0, 0), the B1s
+    first.  Every (pair, subset) case must produce a set-exchange witness
+    and every (pair, element) case a symmetric partner.  All pairs go as
+    one stack: one solve gives every reduced pair, each subset x1 is one
     exchange._first_partner scan with exchange._two_way over all of them,
     and the symmetric partners of every (pair, element) are one array
     step, a single swap being a basis iff its 1 x 1 minor is nonzero.
@@ -529,15 +521,12 @@ def exhaustive_small(q: int, n: int, seed: int = 0, sample_pairs: int = 200) -> 
     if q not in (2, 3) or n > 4 or n < 1:
         raise ValueError("exhaustive check supports q in {2, 3} and 1 <= n <= 4")
     fld = make_field(q)
-    total_pairs = nonsingular_count(n, q) ** 2
-    if total_pairs <= _ENUMERATE_LIMIT:
+    if nonsingular_count(n, q) ** 2 <= _ENUMERATE_LIMIT:
         bases = _all_bases(q, n)
         m1, m2 = np.repeat(bases, len(bases), axis=0), np.tile(bases, (len(bases), 1, 1))
         mode = "enumerated"
     else:
-        rng = derive_rng(seed, 0, 0)
-        drawn = [sample_ordered_basis(rng, n, fld).matrix.entries for _ in range(2 * sample_pairs)]
-        m1, m2 = (np.array(drawn[side::2], dtype=np.uint8).reshape(sample_pairs, n, n) for side in (0, 1))
+        m1, m2 = np.split(random_full_ranks(derive_rng(seed, 0, 0), 2 * sample_pairs, n, fld), 2)
         mode = "sampled"
     vp, up = _reduced_pairs(m1, m2, fld)
     flags = []

@@ -5,7 +5,7 @@ operations go through the field's lookup tables, read flat at uint16
 indices x * q + y, so the same kernel serves prime and extension fields.
 The kernels take whole stacks: _pivot_rows eliminates a (B, rows, cols)
 stack at once, and rank, solves, products and rejection sampling
-(random_full_ranks, one generator per matrix) are stacks through it; a
+(random_full_ranks, one generator per stack) are stacks through it; a
 single matrix is a stack of one.  Tables and stacks are read with
 ndarray.take at flat indices, never with a fancy index: numpy's fancy
 index at a uint16 array is 2.7-3x slower than take on the same
@@ -223,32 +223,29 @@ def beta(k: int, q: int) -> Fraction:
     return (1 - Fraction(1, q)) ** k
 
 
-def random_full_ranks(rngs: Sequence[np.random.Generator], n: int, field: FieldSpec) -> np.ndarray:
-    """One uniform draw from the nonsingular n x n matrices per generator, as a (B, n, n) stack.
+def random_full_ranks(rng: np.random.Generator, count: int, n: int, field: FieldSpec) -> np.ndarray:
+    """count uniform draws from the nonsingular n x n matrices, as a (count, n, n) stack from one generator.
 
     Rejection sampling on whole matrices: a uniform matrix conditioned on
-    full rank is uniform on the full-rank set.  The generators go in
-    lockstep: each round draws one candidate from every generator whose
-    draw was rejected so far and tests the round in one stacked call, so
-    each generator sees the calls it would see alone.  The acceptance
-    probability is at least 0.288 for every q >= 2, so the expected
-    number of rounds per generator is below 3.5.
+    full rank is uniform on the full-rank set.  Each round draws the slots
+    rejected so far, in index order, as one integers call and tests them
+    in one stacked call, so a stack of one draws exactly what an (n, n)
+    draw would.  The acceptance probability is at least 0.288 for every
+    q >= 2, so the expected number of rounds per slot is below 3.5.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    out = np.empty((len(rngs), n, n), dtype=np.uint8)
-    todo = np.arange(len(rngs))
+    out = np.empty((count, n, n), dtype=np.uint8)
+    todo = np.arange(count)
     while todo.size:
-        draws = np.stack([rngs[i].integers(0, field.q, size=(n, n), dtype=np.uint8) for i in todo])
-        ok = _nonsingular(draws, field)
-        out[todo[ok]] = draws[ok]
-        todo = todo[~ok]
+        out[todo] = draws = rng.integers(0, field.q, size=(todo.size, n, n), dtype=np.uint8)
+        todo = todo[~_nonsingular(draws, field)]
     return out
 
 
 def random_full_rank(rng: np.random.Generator, n: int, field: FieldSpec) -> MatFq:
     """Uniform draw from the nonsingular n x n matrices over GF(q): random_full_ranks of one."""
-    return MatFq(field, random_full_ranks([rng], n, field)[0])
+    return MatFq(field, random_full_ranks(rng, 1, n, field)[0])
 
 
 def reduce_against(v: MatFq, u: MatFq) -> MatFq:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _first_partner, _scan, _search_reduced, _search_stack
 from .gf import FieldSpec
-from .matfq import _matmul, _solve, beta, random_full_rank
+from .matfq import _matmul, _solve, beta, random_full_rank, random_full_ranks
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 
@@ -103,6 +103,19 @@ def derive_rng(seed: int, row: int, trial: int) -> np.random.Generator:
 def sample_ordered_basis(rng: np.random.Generator, n: int, field: FieldSpec) -> OrderedBasis:
     """Uniform over ordered bases of F_q^n."""
     return OrderedBasis(random_full_rank(rng, n, field), validate=False)
+
+
+def sample_instances(rng: np.random.Generator, count: int, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, ...]:
+    """count pairs of uniform ordered bases, (count, n, n) stacks m1 and m2, with uniform k-sets x1 and x2 in them.
+
+    The bases are one random_full_ranks stack, the B1s first.  Then each
+    sorted (count, k) set stack is the first k entries of rows of one
+    rng.permuted (2 count, n) stack of 0..n-1, the x1 rows first: exactly
+    uniform, where an argsort of float keys could tie.
+    """
+    m1, m2 = np.split(random_full_ranks(rng, 2 * count, n, field), 2)
+    sets = np.sort(rng.permuted(np.tile(np.arange(n), (2 * count, 1)), axis=1)[:, :k], axis=1)
+    return m1, m2, sets[:count], sets[count:]
 
 
 def _right_inverses(d: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:

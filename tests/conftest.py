@@ -8,16 +8,23 @@ matrices too large for minor expansion.  The scalar field ops on raw
 indices live here too: the library itself only reads the op tables.
 ref_brute_force_serial is the crosscheck oracle the library replaced, a
 scan of every ordering pair that tests each of its prefixes anew.
+ref_full_ranks is the stacked rejection sampler as a plain loop over
+candidates, and ref_crosscheck_instance replays the crosscheck's draw of
+one instance through it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from fqexchange.exchange import SerialCertificate, _prefixes, _swap_bases
+from fqexchange import experiments
+from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, _prefixes, _swap_bases
 from fqexchange.gf import FieldSpec, make_field
+from fqexchange.matfq import MatFq
+from fqexchange.randmodel import derive_rng
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -119,6 +126,48 @@ def ref_row_rank(entries, field: FieldSpec) -> int:
         a[below] = field._add[a[below], field._mul[field._neg[a[below, c]][:, None], a[r][None, :]]]
         r += 1
     return r
+
+
+def ref_full_ranks(rng, count: int, n: int, field: FieldSpec) -> np.ndarray:
+    """matfq.random_full_ranks as a loop: (count, n, n) draws, each rejected one drawn again.
+
+    Every rejection round is one integers call over the slots rejected so
+    far, in index order, and each candidate is tested alone with
+    ref_row_rank.
+    """
+    out = np.empty((count, n, n), dtype=np.uint8)
+    todo = list(range(count))
+    while todo:
+        draws = rng.integers(0, field.q, size=(len(todo), n, n), dtype=np.uint8)
+        out[todo] = draws
+        todo = [slot for slot, m in zip(todo, draws) if ref_row_rank(m, field) < n]
+    return out
+
+
+@cache
+def _ref_crosscheck_chunk(seed: int, q: int, k: int, n: int, lo: int, step: int):
+    rng = derive_rng(seed, 0, lo)
+    bases = ref_full_ranks(rng, 2 * step, n, make_field(q))
+    sets = np.sort(rng.permuted(np.tile(np.arange(n), (2 * step, 1)), axis=1)[:, :k], axis=1)
+    return bases, sets
+
+
+def ref_crosscheck_instance(config, t: int) -> ExchangeInstance:
+    """Instance t of experiments.crosscheck_serial, replayed from its chunk.
+
+    The chunk holds step = max(1, min(_CROSSCHECK_CHUNK, _MAX_DRAW_BYTES //
+    (8 n^2))) instances and starts at lo = step * (t // step).  It is drawn
+    whole from derive_rng(seed, 0, lo): 2 step bases by ref_full_ranks,
+    the B1s first, then the first k entries of each row of one permuted
+    (2 step, n) stack of 0..n-1, the x1 rows first, sorted.
+    """
+    k, n = config.k, config.n_values[0]
+    step = max(1, min(experiments._CROSSCHECK_CHUNK, experiments._MAX_DRAW_BYTES // (8 * n * n)))
+    lo, i = divmod(t, step)
+    bases, sets = _ref_crosscheck_chunk(config.seed, config.q, k, n, lo * step, step)
+    field = make_field(config.q)
+    b1, b2 = (OrderedBasis(MatFq(field, bases[j]), validate=False) for j in (i, step + i))
+    return ExchangeInstance(b1, b2, tuple(sets[i].tolist()), tuple(sets[step + i].tolist()))
 
 
 def ref_is_basis(columns, field: FieldSpec) -> bool:

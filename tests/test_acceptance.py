@@ -9,7 +9,7 @@ exchange: a two-way exchangeable pair of 2-sets is serially exchangeable
 iff some single swap is valid in both directions.  The stronger claim that
 every two-way exchangeable pair of 2-sets is serially exchangeable is false:
 tests/test_exchange.py holds a hand-checked GF(2) counterexample, and
-instances 101 and 469 at SEED are two more, which 6b counts as its gap.
+crosscheck instance 153 at SEED is one more, which 6b counts as its gap.
 The true existential property is verified alongside it as 6c.
 """
 
@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import ref_completion
+from conftest import ref_completion, ref_crosscheck_instance
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_search
 from fqexchange.experiments import (
     ExperimentConfig,
@@ -163,19 +163,15 @@ def test_criterion_06a_oracle_equivalence():
 def test_criterion_06b_two_serial_claim():
     # At k = 2 the last prefix step is the two-way exchange itself, so a
     # two-way pair is serially exchangeable iff some x in x1 and y in x2
-    # make both single swaps bases.  Replay the crosscheck instances in
-    # its draw order, count that relation with public arrow calls, and hold
+    # make both single swaps bases.  Replay the crosscheck instances by
+    # its draw rule, count that relation with public arrow calls, and hold
     # the two_serial_certified row and its gap flag to those counts.
     config = ExperimentConfig(q=3, k=2, n_values=(6,), trials=1, seed=SEED)
     report = crosscheck_serial(config, 500)
-    fld = make_field(3)
     two_way = single_swap = 0
     for t in range(500):
-        rng = derive_rng(SEED, 0, t)
-        b1 = sample_ordered_basis(rng, 6, fld)
-        b2 = sample_ordered_basis(rng, 6, fld)
-        x1 = tuple(sorted(int(v) for v in rng.choice(6, 2, replace=False)))
-        x2 = tuple(sorted(int(v) for v in rng.choice(6, 2, replace=False)))
+        inst = ref_crosscheck_instance(config, t)
+        b1, b2, x1, x2 = inst.b1, inst.b2, inst.x1, inst.x2
         if not (arrow(b1, x1, b2, x2) and arrow(b2, x2, b1, x1)):
             continue
         two_way += 1

@@ -156,9 +156,10 @@ def test_crosscheck_clean_run_exit_zero(capsys):
 
 def test_crosscheck_flagged_violation_exit_one(capsys):
     # seed 0 at k=2 deterministically includes two-way exchangeable pairs
-    # with no serial certificate, which the report flags
+    # with no serial certificate (instances 1420 and 1487), which the
+    # report flags
     code, out, err = run(
-        capsys, "crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "120", "--seed", "0"
+        capsys, "crosscheck", "--q", "3", "--k", "2", "--n", "6", "--instances", "1536", "--seed", "0"
     )
     assert code == 1
     assert "FLAG" in err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepted_q, layouts, ref_det, ref_is_basis, ref_matmul, ref_search_reduced
+from conftest import accepted_q, layouts, ref_crosscheck_instance, ref_det, ref_is_basis, ref_matmul, ref_search_reduced
 from fqexchange import exchange
 from fqexchange.exchange import (
     DimensionMismatch,
@@ -25,9 +25,10 @@ from fqexchange.exchange import (
     serial_search,
     symmetric_partners,
 )
+from fqexchange.experiments import ExperimentConfig
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, SingularBasis, random_full_ranks, rank, reduce_against
-from fqexchange.randmodel import derive_rng, sample_ordered_basis
+from fqexchange.matfq import MatFq, SingularBasis, rank, reduce_against
+from fqexchange.randmodel import derive_rng, sample_instances, sample_ordered_basis
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -525,9 +526,7 @@ def _check_lockstep(vp, up, x1, x2, field):
 def _random_reduced_stack(q, k, n, count, seed):
     """count reduced pairs of random GF(q) bases of rank n, with random sorted k-sets on each side."""
     field = make_field(q)
-    rngs = [derive_rng(seed, q * 10 + k, t) for t in range(count)]
-    m1, m2 = random_full_ranks(rngs, n, field), random_full_ranks(rngs, n, field)
-    x1, x2 = (np.array([np.sort(rng.choice(n, size=k, replace=False)) for rng in rngs]) for _ in range(2))
+    m1, m2, x1, x2 = sample_instances(derive_rng(seed, q * 10 + k, 0), count, n, k, field)
     return (*exchange._reduced_pairs(m1, m2, field), x1, x2, field)
 
 
@@ -550,19 +549,19 @@ def test_lockstep_search_matches_reference_dfs(monkeypatch, q, unit_slices):
 def test_lockstep_search_on_two_way_blocks_that_are_not_serial(monkeypatch, unit_slices):
     # blocks whose full exchange is valid both ways but that have no serial
     # ordering, which make the search backtrack to the root: the frozen
-    # GF(2) pair, the two 6b gap instances of the k = 2 crosscheck at the
+    # GF(2) pair, the 6b gap instance of the k = 2 crosscheck at the
     # acceptance seed, and GF(2) reduced pairs at k = 2 .. 5 with their
     # two-way blocks, serial or not
     if unit_slices:
         monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
     vp, up = _reduced_pair(basis(F2, TWO_SERIAL_GAP_B1), basis(F2, TWO_SERIAL_GAP_B2))
     assert _check_lockstep(vp[None], up[None], np.array([[1, 2]]), np.array([[1, 2]]), F2) == [None]
-    rngs = [derive_rng(271828, 0, t) for t in (101, 469)]
-    m1, m2 = random_full_ranks(rngs, 6, F3), random_full_ranks(rngs, 6, F3)
-    x1, x2 = (np.array([np.sort(rng.choice(6, size=2, replace=False)) for rng in rngs]) for _ in range(2))
+    inst = ref_crosscheck_instance(ExperimentConfig(q=3, k=2, n_values=(6,), trials=1, seed=271828), 153)
+    m1, m2 = inst.b1.matrix.entries[None], inst.b2.matrix.entries[None]
+    x1, x2 = np.array([inst.x1]), np.array([inst.x2])
     gap = (*exchange._reduced_pairs(m1, m2, F3), x1, x2, F3)
-    assert exchange._swap_bases(exchange._columns(m1, m2), np.arange(2), x1, x2, F3).all(axis=-1).tolist() == [True, True]
-    assert _check_lockstep(*gap) == [None, None]
+    assert exchange._swap_bases(exchange._columns(m1, m2), np.arange(1), x1, x2, F3).all(axis=-1).tolist() == [True]
+    assert _check_lockstep(*gap) == [None]
     for k in range(2, 6):
         vp, up, x1, x2, field = _random_reduced_stack(2, k, k + 1, 300, seed=89)
         i = np.arange(len(x1))[:, None, None]

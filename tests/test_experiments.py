@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_brute_force_serial, ref_is_basis, ref_rank, ref_search_reduced
+from conftest import ref_brute_force_serial, ref_crosscheck_instance, ref_is_basis, ref_rank, ref_search_reduced
 from test_exchange import TWO_SERIAL_GAP_B1, TWO_SERIAL_GAP_B2
 from fqexchange import exchange, experiments
 from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, arrow, serial_check, serial_search
@@ -344,10 +344,11 @@ def test_crosscheck_k3_no_flags():
 
 def test_crosscheck_k2_flags_two_serial_gap():
     # seed 0 is known to hit two-way exchangeable 2-set instances with no
-    # serial certificate; the report must say so rather than hide it
-    rep = crosscheck_serial(ExperimentConfig(q=3, k=2, n_values=(6,), trials=1, seed=0), 120)
+    # serial certificate (instances 1420 and 1487); the report must say so
+    # rather than hide it
+    rep = crosscheck_serial(ExperimentConfig(q=3, k=2, n_values=(6,), trials=1, seed=0), 1536)
     (match,) = [r for r in rep.records if r.name == "serial_oracle_match"]
-    assert match.successes == match.trials == 120
+    assert match.successes == match.trials == 1536
     (two,) = [r for r in rep.records if r.name == "two_serial_certified"]
     assert two.successes < two.trials
     assert any("no serial certificate" in f for f in rep.flags)
@@ -359,25 +360,13 @@ def _stack_of_one(inst):
     return cols, np.array([inst.x1], dtype=np.intp), np.array([inst.x2], dtype=np.intp), inst.b1.field
 
 
-def _crosscheck_instance(config, t):
-    """Instance t of crosscheck_serial, drawn alone from derive_rng(seed, 0, t)."""
-    k, n = config.k, config.n_values[0]
-    fld = make_field(config.q)
-    rng = derive_rng(config.seed, 0, t)
-    b1 = sample_ordered_basis(rng, n, fld)
-    b2 = sample_ordered_basis(rng, n, fld)
-    x1 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-    x2 = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-    return ExchangeInstance(b1, b2, x1, x2)
-
-
 def _ref_crosscheck(config, instances):
-    """crosscheck_serial as a loop over instances, each drawn, searched and checked alone."""
+    """crosscheck_serial as a loop over instances, each replayed, searched and checked alone."""
     k, n = config.k, config.n_values[0]
     mismatches = []
     matches = unsound = two_serial_total = two_serial_ok = 0
     for t in range(instances):
-        inst = _crosscheck_instance(config, t)
+        inst = ref_crosscheck_instance(config, t)
         b1, b2, x1, x2 = inst.b1, inst.b2, inst.x1, inst.x2
         cert = serial_search(inst)
         if cert is not None and not serial_check(inst, cert):
@@ -411,7 +400,7 @@ def _ref_crosscheck(config, instances):
 
 @pytest.mark.parametrize("q, k, n, instances, seed", [
     (3, 3, 6, 600, 7),  # spans three chunks
-    (3, 2, 6, 300, 0),  # two-way pairs without a serial certificate: the gap flag
+    (3, 2, 6, 1536, 0),  # two-way pairs without a serial certificate: the gap flag
     (2, 2, 5, 200, 1),
     (4, 3, 6, 100, 2),
     (9, 2, 7, 100, 3),
@@ -454,7 +443,7 @@ def test_crosscheck_flags_and_leaves_out_unsound_certificates(monkeypatch):
     rep = crosscheck_serial(config, instances)
     substituted, unsound = 0, []
     for t in range(instances):
-        inst = _crosscheck_instance(config, t)
+        inst = ref_crosscheck_instance(config, t)
         cert = serial_search(inst)
         returned = _substitute(cert, inst.x1, inst.x2)
         substituted += returned != cert
@@ -570,15 +559,15 @@ def test_table_oracle_gives_the_scan_oracles_certificates(monkeypatch, q, k):
 
 
 def test_table_oracle_on_the_two_serial_gap():
-    # the seed-0 k = 2 instances of the crosscheck, gap instances among
-    # them, and the frozen GF(2) pair: two-way, yet no serial certificate
+    # the seed-0 k = 2 crosscheck instances 1280 .. 1535, gap instances
+    # among them, and the frozen GF(2) pair: two-way, yet no serial certificate
     fld = make_field(3)
+    config = ExperimentConfig(q=3, k=2, n_values=(6,), trials=1, seed=0)
     cols, x1, x2 = [], [], []
-    for rng in (derive_rng(0, 0, t) for t in range(300)):
-        b1, b2 = sample_ordered_basis(rng, 6, fld), sample_ordered_basis(rng, 6, fld)
-        cols.append(exchange._columns(b1.matrix.entries, b2.matrix.entries))
-        x1.append(np.sort(rng.choice(6, size=2, replace=False)))
-        x2.append(np.sort(rng.choice(6, size=2, replace=False)))
+    for inst in (ref_crosscheck_instance(config, t) for t in range(1280, 1536)):
+        cols.append(exchange._columns(inst.b1.matrix.entries, inst.b2.matrix.entries))
+        x1.append(inst.x1)
+        x2.append(inst.x2)
     stack = np.array(cols), np.array(x1, dtype=np.intp), np.array(x2, dtype=np.intp), fld
     certs, full = experiments._brute_force_serial(*stack)
     assert certs == ref_brute_force_serial(*stack)

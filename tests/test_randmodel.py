@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_completion, ref_det, ref_matmul, ref_rank, ref_row_rank, ref_search_reduced
+from conftest import ref_completion, ref_det, ref_full_ranks, ref_matmul, ref_rank, ref_row_rank, ref_search_reduced
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_check, serial_search
 from fqexchange.gf import make_field
-from fqexchange.matfq import MatFq, alpha, random_full_ranks, rank
+from fqexchange.matfq import MatFq, alpha, nonsingular_count, random_full_ranks, rank
 from fqexchange.randmodel import (
     DomainError,
     KTooLarge,
@@ -23,6 +23,7 @@ from fqexchange.randmodel import (
     _right_inverses,
     derive_rng,
     run_trial,
+    sample_instances,
     sample_ordered_basis,
     sample_reduced,
     theorem_tail,
@@ -84,22 +85,84 @@ def _ref_full_rank(rng, n, field):
 
 
 @pytest.mark.parametrize("q, n", [(2, 1), (2, 4), (3, 6), (9, 5)])
-def test_lockstep_sampler_keeps_each_generators_stream(q, n):
-    # two lockstep draws over a list of generators, as crosscheck makes
-    # them, give each generator the two bases of its own rejection loop and
-    # of its own sample_ordered_basis calls, and leave it in the same state
+def test_stacked_sampler_matches_the_plain_loop(q, n):
+    # one stacked draw of 80 matrices gives what the loop over candidates
+    # gives, and leaves the generator in the same state
     field = make_field(q)
-    alone = [derive_rng(5, q, t) for t in range(40)]
-    want = [[sample_ordered_basis(rng, n, field).matrix.entries.tolist() for _ in range(2)] for rng in alone]
-    looped = [derive_rng(5, q, t) for t in range(40)]
-    ref = [[_ref_full_rank(rng, n, field) for _ in range(2)] for rng in looped]
-    together = [derive_rng(5, q, t) for t in range(40)]
-    got = np.stack([random_full_ranks(together, n, field) for _ in range(2)], axis=1)
-    assert got.tolist() == want == [[m for m, _ in pair] for pair in ref]
-    states = [rng.bit_generator.state for rng in together]
-    assert states == [rng.bit_generator.state for rng in alone] == [rng.bit_generator.state for rng in looped]
-    if q == 2 and n > 1:
-        assert max(draws for pair in ref for _, draws in pair) > 1
+    stacked, looped = derive_rng(5, q, 0), derive_rng(5, q, 0)
+    got = random_full_ranks(stacked, 80, n, field)
+    assert got.tolist() == ref_full_ranks(looped, 80, n, field).tolist()
+    assert stacked.bit_generator.state == looped.bit_generator.state
+    if q == 2 and n > 1:  # some slot was redrawn
+        assert (got != derive_rng(5, q, 0).integers(0, q, size=(80, n, n), dtype=np.uint8)).any()
+
+
+class _EveryCandidateFirst:
+    """A generator whose first integers call returns every (n, n) matrix once; later calls go to rng."""
+
+    def __init__(self, q, n, rng):
+        self.q = q
+        self.every = np.array(list(product(range(q), repeat=n * n)), dtype=np.uint8).reshape(-1, n, n)
+        self.first = True
+        self.rng = rng
+
+    def integers(self, low, high, size, dtype):
+        if not self.first:
+            return self.rng.integers(low, high, size=size, dtype=dtype)
+        assert (low, high, size, dtype) == (0, self.q, self.every.shape, np.uint8)
+        self.first = False
+        return self.every
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2)])
+def test_stacked_sampler_law_is_uniform_on_gl(q, n):
+    # exact: fed every candidate once, the stacked draw keeps each
+    # nonsingular one in its slot, each element of GL_n(q) exactly once, and
+    # draws every other slot again until it is nonsingular; so a uniform
+    # candidate gives a uniform element of GL_n(q)
+    field = make_field(q)
+    fake = _EveryCandidateFirst(q, n, derive_rng(6, q, 0))
+    got = random_full_ranks(fake, q ** (n * n), n, field)
+    kept = np.array([ref_det(m.tolist(), field) != 0 for m in fake.every])
+    assert (got[kept] == fake.every[kept]).all()
+    assert kept.sum() == nonsingular_count(n, q) == {2: 6, 3: 48}[q]
+    assert all(ref_det(m.tolist(), field) != 0 for m in got[~kept])
+
+
+class _EveryPermutation:
+    """A generator whose permuted returns every permutation of a row once; integers go to rng."""
+
+    def __init__(self, rng):
+        self.integers = rng.integers
+
+    def permuted(self, a, axis):
+        n = a.shape[1]
+        assert axis == 1 and (a == np.arange(n)).all()
+        orders = np.array(list(permutations(range(n))))
+        assert len(orders) == len(a)
+        return orders
+
+
+def test_sampled_position_sets_are_uniform():
+    # exact: when the rows of the permuted stack are every permutation of
+    # 0..3 once, the 24 x1 and x2 sets are each 2-subset of 0..3 four times,
+    # sorted, so a uniform permutation gives a uniform 2-set
+    m1, m2, x1, x2 = sample_instances(_EveryPermutation(derive_rng(7, 0, 0)), 12, 4, 2, F3)
+    assert m1.shape == m2.shape == (12, 4, 4) and x1.shape == x2.shape == (12, 2)
+    sets = Counter(tuple(row) for row in np.concatenate([x1, x2]).tolist())
+    assert sets == Counter({c: 4 for c in combinations(range(4), 2)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 251])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_sample_ordered_basis_is_a_stack_of_one(q, n):
+    # sample_ordered_basis draws what one generator's (n, n) rejection loop
+    # draws, and leaves the generator where that loop does
+    field = make_field(q)
+    alone, looped = derive_rng(5, q, n), derive_rng(5, q, n)
+    got = [sample_ordered_basis(alone, n, field).matrix.entries.tolist() for _ in range(3)]
+    assert got == [_ref_full_rank(looped, n, field)[0] for _ in range(3)]
+    assert alone.bit_generator.state == looped.bit_generator.state
 
 
 def test_sample_ordered_basis_is_basis():
