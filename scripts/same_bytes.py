@@ -14,7 +14,9 @@ The list holds the nine commands of acceptance criterion 11, ``exhaustive``
 at (q, n) = (2, 2), (3, 3) and (3, 4), at (2, 4) (GF(2) in sampled mode)
 and at (3, 2) (all 2304 basis pairs enumerated, the largest single
 stack), ``crosscheck`` at q = 3 with k = 2
-(which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4,
+(which exits 1 with its gap flag), 3 and 5, and at q = 9 with k = 4 and
+with k = 2 at n = 5 (its ``two_serial_certified`` row counts the two-way
+pairs drawn, so a change in the crosscheck draw shows even with no flag),
 ``serial`` in both modes on two generated GF(3) bases, three GF(3)
 ``trend`` rows for the serial search at larger k and in the all-subsets
 search: k = 4 at n = 20, k = 6 at n = 40, and k = 3 at n = 12 with
@@ -75,6 +77,7 @@ COMMANDS = {
     "crosscheck_k3": ["crosscheck", "--q", "3", "--k", "3", "--n", "6", "--instances", "500", "--seed", SEED],
     "crosscheck_k5": ["crosscheck", "--q", "3", "--k", "5", "--n", "6", "--instances", "4", "--seed", SEED],
     "crosscheck_q9_k4": ["crosscheck", "--q", "9", "--k", "4", "--n", "8", "--instances", "60", "--seed", SEED],
+    "crosscheck_q9_k2": ["crosscheck", "--q", "9", "--k", "2", "--n", "5", "--instances", "500", "--seed", SEED],
     "serial_blocks": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "blocks"],
     "serial_all_subsets": ["serial", "--b1", "b1.mat", "--b2", "b2.mat", "--x1", "0,3", "--mode", "all_subsets"],
     "trend_k4": ["trend", "--q", "3", "--k", "4", "--n", "20", "--trials", "128", "--seed", SEED],

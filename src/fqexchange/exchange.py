@@ -17,10 +17,11 @@ per step, whose two minors are nonsingular; _minors_ok tests the children
 of a stack of states.  _lockstep is the one serial search: a depth-first
 search with a memo of failed states in which every candidate of a stack
 advances together, one _minors_ok call per state size a round.  It gives
-_scan's serial bits for the trial blocks and _search_stack's certificates
-for a stack of instances.  _first_partner is the one candidate scan: it
-runs a decision, _search_stack or _two_way, on slices of candidate
-partner sets, every instance stopping at its first hit
+_scan's serial bits for the trial blocks, in rounds of two-way blocks
+that a trial leaves at its first serial block, and _search_stack's
+certificates for a stack of instances.  _first_partner is the one
+candidate scan: it runs a decision, _search_stack or _two_way, on slices
+of candidate partner sets, every instance stopping at its first hit
 (find_serial_partner, greene_woodall, the all-subsets trial search and
 the exhaustive check).
 
@@ -364,18 +365,37 @@ def _lockstep(a: np.ndarray, b: np.ndarray, cand: np.ndarray, field: FieldSpec) 
     return found, steps
 
 
-def _scan(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(
+    a: np.ndarray, b: np.ndarray, field: FieldSpec, ell: int = 1, width: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The y bits, the x bits and the serial bits of a stack of candidates.
 
-    a[c] = vp[ones, cand] and b[c] = up[cand, ones] are (C, k, k) stacks.
-    The y and x bits are the nonsingularity of the full blocks, and the
-    serial bits come from one _lockstep search over every candidate whose
-    full exchange is valid both ways.
+    a[c] = vp[ones, cand] and b[c] = up[cand, ones] are (C, k, k) stacks,
+    in groups of ell consecutive candidates (the aligned blocks of one
+    trial).  The y and x bits are the nonsingularity of every full block.
+    The serial bits come from _lockstep searches of the candidates whose
+    full exchange is valid both ways, in block order: each round searches
+    the next width two-way blocks of every group with no serial block yet,
+    in one _lockstep call, and the next round takes twice as many.  So a
+    group leaves at the round of its first serial block, and its later
+    blocks read 0.  width = ell searches every two-way block in one round,
+    and width = 0 searches none.  Every width takes the search's k <=
+    _SEARCH_MAX_K.
     """
+    if a.shape[-1] > _SEARCH_MAX_K:
+        raise ValueError(f"the serial search takes k <= {_SEARCH_MAX_K}, got k = {a.shape[-1]}")
     y, x = _nonsingular(a, field), _nonsingular(b, field)
     serial = np.zeros(len(a), dtype=bool)
-    live = np.flatnonzero(x & y)
-    serial[live] = _lockstep(a, b, live, field)[0]
+    two_way, hit = (x & y).reshape(-1, ell), serial.reshape(-1, ell)
+    rank = np.cumsum(two_way, axis=1)  # a two-way block's place among its group's, from 1
+    live, done = np.flatnonzero(rank[:, -1]), 0
+    while width and live.size:
+        ranks = rank[live]
+        t, i = np.nonzero(two_way[live] & (ranks > done) & (ranks <= done + width))
+        cand = live[t] * ell + i
+        serial[cand] = _lockstep(a, b, cand, field)[0]
+        live = live[~hit[live].any(axis=1) & (ranks[:, -1] > done + width)]
+        done, width = done + width, 2 * width
     return y, x, serial
 
 

@@ -4,9 +4,13 @@ Every experiment is a pure function of its config: the Monte Carlo runs go
 in fixed chunks of _CHUNK trials, each drawn from one generator keyed by
 (seed, row, its first trial) and scored as one stack, chunks combine in a
 fixed order, and record emission is sorted, so reruns reproduce
-byte-identical CSV and JSON.  Worker processes only change wall time,
-never output.  The crosscheck draws each chunk of instances whole from
-one generator, (seed, 0, chunk start), with chunk bounds set by n alone.
+byte-identical CSV and JSON.  A chunk searches only what its experiment
+reads: trend and verify zprime each trial's blocks up to its first
+serial one, verify conditional none.  Worker processes only change wall
+time, never output; they are forked after the caller has imported
+numpy.random, so no worker imports it on its first chunk.  The
+crosscheck draws each chunk of instances whole from one generator,
+(seed, 0, chunk start), with chunk bounds set by n alone.
 
 Flag convention: a bound comparison is flagged when the empirical value
 falls more than four standard errors (computed at the bound) on the wrong
@@ -23,7 +27,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations, product
 from typing import IO, Optional
 
@@ -163,6 +167,7 @@ def _map_chunks(worker, args_list, jobs: int):
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args_list]
+    import numpy.random  # noqa: F401  forked workers inherit it instead of each importing it on its first chunk
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, args_list))
 
@@ -221,11 +226,13 @@ class _TrialTotals:
     zprime_zero_by_z: np.ndarray
 
 
-def _trial_chunk(args) -> _TrialTotals:
+def _trial_chunk(args, search: str = "first") -> _TrialTotals:
+    # search as in randmodel.score_reduced: "first" finds every hit; "none", for callers that
+    # read the x and y bits only, finds none, so block_hits reads 0
     q, k, n, seed, row, lo, hi, exhaustive, gate = args
     fld = make_field(q)
     r, c = sample_reduced(derive_rng(seed, row, lo), hi - lo, n, k, fld)
-    x, y, serial, subset = score_reduced(r, c, fld, exhaustive=exhaustive, gate=gate)
+    x, y, serial, subset = score_reduced(r, c, fld, search=search, exhaustive=exhaustive, gate=gate)
     if (serial & ~(x & y)).any():
         raise ValueError("a serial block must be two-way")
     z = (x & y).sum(axis=1)
@@ -236,12 +243,12 @@ def _trial_chunk(args) -> _TrialTotals:
                         np.bincount(z, minlength=ell + 1), np.bincount(z[~hit], minlength=ell + 1))
 
 
-def _run_trials(config: ExperimentConfig, n: int, row: int, jobs: int) -> _TrialTotals:
+def _run_trials(config: ExperimentConfig, n: int, row: int, jobs: int, search: str = "first") -> _TrialTotals:
     args = [
         (config.q, config.k, n, config.seed, row, lo, hi, config.exhaustive, config.gate)
         for lo, hi in _chunk_ranges(config.trials)
     ]
-    parts = _map_chunks(_trial_chunk, args, jobs)
+    parts = _map_chunks(partial(_trial_chunk, search=search), args, jobs)
     return _TrialTotals(*(sum(getattr(p, f.name) for p in parts) for f in fields(_TrialTotals)))
 
 
@@ -309,7 +316,7 @@ def verify_conditional_bounds(config: ExperimentConfig, jobs: int = 1) -> Report
     records = []
     flags = []
     for row_idx, n in enumerate(config.n_values):
-        totals = _run_trials(config, n, row_idx, jobs)
+        totals = _run_trials(config, n, row_idx, jobs, search="none")  # reads the x and y bits only
         sigma = math.sqrt(bound_f * (1 - bound_f) / totals.trials)
         ell = n // config.k
         for i in range(ell):

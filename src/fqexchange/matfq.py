@@ -270,20 +270,22 @@ def reduce_against(v: MatFq, u: MatFq) -> MatFq:
 def _matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Product of two index arrays over GF(q), through the field tables.
 
-    a and b may be stacks with matching leading axes.  Every term
-    a[..., i, l] * b[..., l, j] is read at once from the flat table with
-    take at the uint16 index x * q + y (as in _pivot_rows), zero-padded
-    along l to a power of two, and summed by halving, so the table
-    additions take log2(inner) vectorized steps.
+    a and b may be stacks with matching leading axes, and the inner size
+    is at least 1.  Every term a[..., i, l] * b[..., l, j] is read at once
+    from the flat table with take at the uint16 index x * q + y (as in
+    _pivot_rows), and the terms are summed by halving along l, an odd
+    leftover term folded into term 0 at each step, so the table additions
+    take about log2(inner) vectorized steps and no step adds padding
+    zeros.
     """
-    inner = a.shape[-1]
-    width = 1 << max(inner - 1, 0).bit_length()
-    terms = np.zeros((*a.shape[:-1], width, b.shape[-1]), dtype=np.uint8)
-    q = field.q
-    terms[..., :inner, :] = field._mul.take(np.multiply(a[..., :, :, None], q, dtype=np.uint16) + b[..., None, :, :])
-    while width > 1:
-        width //= 2
-        terms = field._add_flat.take(np.multiply(terms[..., :width, :], q, dtype=np.uint16) + terms[..., width:, :])
+    q, add = field.q, field._add_flat
+    terms = field._mul.take(np.multiply(a[..., :, :, None], q, dtype=np.uint16) + b[..., None, :, :])
+    while (width := terms.shape[-2]) > 1:
+        half = width // 2
+        summed = add.take(np.multiply(terms[..., :half, :], q, dtype=np.uint16) + terms[..., half:2 * half, :])
+        if width % 2:
+            summed[..., 0, :] = add.take(np.multiply(summed[..., 0, :], q, dtype=np.uint16) + terms[..., -1, :])
+        terms = summed
     return terms[..., 0, :]
 
 

@@ -5,11 +5,14 @@ first k positions of B1, and tests each aligned k-block of B2 for one-way,
 two-way, and serial exchangeability.  Every test reads only R, the first k
 rows of M = B1^-1 B2, and C, the first k columns of M^-1, so a trial draws
 that pair directly instead of two n x n bases.  Trials go in stacks:
-sample_reduced draws a whole stack from one generator and score_reduced
-scores every block of it at once, so a stack is a pure function of its
-generator and its size; run_trial is a stack of one.  The experiments
-derive one generator per chunk of trials from (seed, row, chunk start),
-so any execution order reproduces the same numbers.
+sample_reduced draws a whole stack from one generator, solving only the
+accepted draws, and score_reduced tests every block of it at once and
+searches as many two-way blocks as its caller reads (all of them, each
+trial's blocks up to its first serial one, or none), so a stack is a
+pure function of its generator and its size; run_trial is a stack of
+one.  The experiments derive one generator per chunk of trials from
+(seed, row, chunk start), so any execution order reproduces the same
+numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .exchange import SUBSET_GATE, OrderedBasis, SerialCertificate, _first_partner, _scan, _search_reduced, _search_stack
 from .gf import FieldSpec
-from .matfq import _matmul, _solve, beta, random_full_rank, random_full_ranks
+from .matfq import _matmul, _nonsingular, _solve, beta, random_full_rank, random_full_ranks
 from .matfq import _rank_of  # no caller here; perfbench/tracing.py PATCHES wraps this binding
 
 
@@ -118,21 +121,6 @@ def sample_instances(rng: np.random.Generator, count: int, n: int, k: int, field
     return m1, m2, sets[:count], sets[count:]
 
 
-def _right_inverses(d: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The map (R, C0) -> C0 (R C0)^-1 on a (B, 2k, n) stack of blocks [R; C0^T].
-
-    Returns which R C0 are nonsingular and the (B, n, k) stack of C, junk
-    where R C0 is singular.  C satisfies R C = I, and C^T solves
-    (R C0)^T C^T = C0^T: one stacked matfq._solve.  Each such C is the
-    image of exactly the |GL_k| matrices C A with A in GL_k, so a uniform
-    C0 conditioned on R C0 nonsingular gives a uniform C.
-    """
-    k = d.shape[1] // 2
-    r, c0t = d[:, :k], d[:, k:]
-    found, ct = _solve(_matmul(c0t, r.transpose(0, 2, 1), field), c0t, field)
-    return found == k, ct.transpose(0, 2, 1)
-
-
 def sample_reduced(
     rng: np.random.Generator, trials: int, n: int, k: int, field: FieldSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,43 +128,60 @@ def sample_reduced(
 
     Returns a (trials, k, n) stack of R and a (trials, n, k) stack of C.
     Each slice draws R and C0 together, uniform, as one (2k, n) block
-    [R; C0^T], and the slices whose R C0 is singular are redrawn, in index
-    order as one stack, until none is: a stack of one draws exactly what a
-    (2k, n) draw would.  A rank-deficient R makes R C0 singular, so it is
-    never accepted.  For a full-rank R the map C0 -> R C0 is onto the k x k
+    [R; C0^T], and the slices whose S = R C0 is singular are redrawn, in
+    index order as one stack, until none is: a stack of one draws exactly
+    what a (2k, n) draw would.  A round computes only S, one k x k
+    product a slice, and tests it; the accepted stack then takes one
+    stacked matfq._solve of S^T C^T = C0^T, so no rejected draw is
+    solved.  A rank-deficient R makes S singular, so it is never
+    accepted.  For a full-rank R the map C0 -> R C0 is onto the k x k
     matrices and hits each one q^(k(n-k)) times, so every full-rank R is
     accepted with the same chance alpha_k: the accepted R is uniform over
     full-rank k x n matrices.  Given R, the accepted C0 is uniform on
-    {R C0 nonsingular}, and _right_inverses maps it evenly onto
-    {C : R C = I}.
+    {R C0 nonsingular}, and C = C0 S^-1 satisfies R C = I; each such C is
+    the image of exactly the |GL_k| matrices C A with A in GL_k, so C is
+    uniform on {C : R C = I}.
     """
     if k > n:
         raise KTooLarge(f"k = {k} exceeds n = {n}")
     d = np.empty((trials, 2 * k, n), dtype=np.uint8)
-    c = np.empty((trials, n, k), dtype=np.uint8)
+    st = np.empty((trials, k, k), dtype=np.uint8)  # S^T = C0^T R^T of each slice
     todo = np.arange(trials)
     while todo.size:
-        d[todo] = rng.integers(0, field.q, size=(todo.size, 2 * k, n), dtype=np.uint8)
-        ok, got = _right_inverses(d[todo], field)
-        c[todo[ok]] = got[ok]
-        todo = todo[~ok]
-    return d[:, :k], c
+        d[todo] = draws = rng.integers(0, field.q, size=(todo.size, 2 * k, n), dtype=np.uint8)
+        st[todo] = prod = _matmul(draws[:, k:], draws[:, :k].transpose(0, 2, 1), field)
+        todo = todo[~_nonsingular(prod, field)]
+    ct = _solve(st, d[:, k:], field)[1]
+    return d[:, :k], ct.transpose(0, 2, 1)
 
 
 def score_reduced(
-    r: np.ndarray, c: np.ndarray, field: FieldSpec, *, exhaustive: bool = False, gate: int = SUBSET_GATE
+    r: np.ndarray,
+    c: np.ndarray,
+    field: FieldSpec,
+    *,
+    search: str = "all",
+    exhaustive: bool = False,
+    gate: int = SUBSET_GATE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The x, y and serial bits of every aligned block of every (R, C) of a stack.
 
     r and c are as sample_reduced returns them: with M = B1^-1 B2 for the
     modelled bases, R holds the rows of M at the marked positions u1 and C
     the columns of M^-1 there, and the block tests and the serial search
-    index nothing else.  Every block of every trial goes into one
-    exchange._scan; the bits come back as (trials, ell) bool arrays.  With
-    exhaustive set (and the subset count within gate) the all-subsets
-    search also runs, every trial at once, each stopping at its first
-    serial k-subset (exchange._first_partner with exchange._search_stack),
-    giving a (trials,) bool array; otherwise that entry is None.
+    index nothing else.  Every full block of every trial is tested both
+    ways, and the two-way blocks are searched in one exchange._scan loop
+    whose first round's width search sets: "all" searches every two-way
+    block in one round, so every serial bit is exact; "first" searches
+    each trial's two-way blocks in block order, 1, then 2, then 4 a
+    round, until its first serial one, so the hit serial.any(axis=1) and
+    the first serial block are exact and later blocks may read 0; "none"
+    searches nothing.  The bits come back as (trials, ell) bool arrays.
+    With exhaustive set (and the subset count within gate) the
+    all-subsets search also runs, every trial at once, each stopping at
+    its first serial k-subset (exchange._first_partner with
+    exchange._search_stack), giving a (trials,) bool array; otherwise that
+    entry is None.
     """
     trials, k, n = r.shape
     ell = block_partition(n, k).ell
@@ -184,7 +189,8 @@ def score_reduced(
     # block i of a trial is r[:, block] on the one side and c[block, :] on the other
     a = r[:, :, :width].reshape(trials, k, ell, k).transpose(0, 2, 1, 3).reshape(-1, k, k)
     b = c[:, :width].reshape(-1, k, k)
-    y, x, serial = (v.reshape(trials, ell) for v in _scan(a, b, field))
+    first = {"all": ell, "first": 1, "none": 0}[search]  # the first round's two-way blocks a trial
+    y, x, serial = (v.reshape(trials, ell) for v in _scan(a, b, field, ell, first))
     subset = None
     if exhaustive and comb(n, k) <= gate:
         u1 = np.broadcast_to(np.arange(k), (trials, k))

@@ -10,7 +10,8 @@ ref_brute_force_serial is the crosscheck oracle the library replaced, a
 scan of every ordering pair that tests each of its prefixes anew.
 ref_full_ranks is the stacked rejection sampler as a plain loop over
 candidates, and ref_crosscheck_instance replays the crosscheck's draw of
-one instance through it.
+one instance through it.  ref_sample_reduced is the trial sampler the
+library replaced, which solves every round's draws, rejected ones too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from fqexchange import experiments
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, SerialCertificate, _prefixes, _swap_bases
 from fqexchange.gf import FieldSpec, make_field
-from fqexchange.matfq import MatFq
+from fqexchange.matfq import MatFq, _matmul, _solve
 from fqexchange.randmodel import derive_rng
 
 
@@ -142,6 +143,28 @@ def ref_full_ranks(rng, count: int, n: int, field: FieldSpec) -> np.ndarray:
         out[todo] = draws
         todo = [slot for slot, m in zip(todo, draws) if ref_row_rank(m, field) < n]
     return out
+
+
+def ref_sample_reduced(rng, trials: int, n: int, k: int, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """randmodel.sample_reduced as it was: every round solves all its draws.
+
+    Each round draws the slots rejected so far, in index order, as one
+    (2k, n) block [R; C0^T] a slot, solves (R C0)^T C^T = C0^T for every
+    draw of the round with one stacked matfq._solve, and keeps the slots
+    whose R C0 has full rank.  Returns the (trials, k, n) R and (trials,
+    n, k) C stacks.
+    """
+    d = np.empty((trials, 2 * k, n), dtype=np.uint8)
+    c = np.empty((trials, n, k), dtype=np.uint8)
+    todo = np.arange(trials)
+    while todo.size:
+        d[todo] = rng.integers(0, field.q, size=(todo.size, 2 * k, n), dtype=np.uint8)
+        r, c0t = d[todo, :k], d[todo, k:]
+        found, ct = _solve(_matmul(c0t, r.transpose(0, 2, 1), field), c0t, field)
+        ok = found == k
+        c[todo[ok]] = ct.transpose(0, 2, 1)[ok]
+        todo = todo[~ok]
+    return d[:, :k], c
 
 
 @cache

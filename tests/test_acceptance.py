@@ -285,10 +285,11 @@ def _recheck_trials(q, k, n, seed, count, row=0):
 
 
 def test_criterion_09_invariants(conditional_report, zprime_report, trend_rows):
-    # every chunk of the shared fixtures checks that each serial block is
-    # two-way (experiments._trial_chunk raises otherwise), so those runs
-    # complete only if no trial broke it; replay a sample through the
-    # public slow path as an independent route
+    # every chunk of the shared fixtures searches two-way blocks only, each
+    # trial's up to its first serial one (none for the conditional run),
+    # and experiments._trial_chunk still raises if a serial block is not
+    # two-way; _recheck_trials replays a sample unchanged, every block
+    # searched, through the public slow path as the independent route
     _recheck_trials(3, 2, 20, SEED, 30, row=0)   # the n=20 bound run
     _recheck_trials(3, 2, 40, SEED, 15, row=0)   # the n=40 bound run
     _recheck_trials(3, 2, 8, SEED, 10, row=0)    # first trend row

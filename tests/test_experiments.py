@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,22 +283,25 @@ EXACT_SUCCESS = {(2, 4, 2): Fraction(2, 5), (3, 4, 2): Fraction(685, 1053), (2, 
 
 @pytest.mark.parametrize("q, n, k", sorted(EXACT_LAW))
 def test_chunk_scorer_reproduces_the_exact_law(q, n, k):
+    # every block searched, and each trial's blocks up to its first serial
+    # one, as trial chunks search them: the same exact totals
     field = make_field(q)
     r, c = _every_inverse_pair(q, n, k)
     ell = n // k
-    x_sums, y_sums, z_hist, zz = (np.zeros(m, dtype=np.int64) for m in (ell, ell, ell + 1, ell + 1))
-    success = 0
-    for lo in range(0, len(r), 1 << 16):  # bounded memory
-        x, y, serial, _ = score_reduced(r[lo:lo + (1 << 16)], c[lo:lo + (1 << 16)], field)
-        z = (x & y).sum(axis=1)
-        hit = serial.any(axis=1)
-        x_sums += x.sum(axis=0)
-        y_sums += y.sum(axis=0)
-        z_hist += np.bincount(z, minlength=ell + 1)
-        zz += np.bincount(z[~hit], minlength=ell + 1)
-        success += int(hit.sum())
     pairs, *_ = want = EXACT_LAW[q, n, k]
-    assert (len(r), success, z_hist.tolist(), zz.tolist(), x_sums.tolist(), y_sums.tolist()) == want
+    for search in ("all", "first"):
+        x_sums, y_sums, z_hist, zz = (np.zeros(m, dtype=np.int64) for m in (ell, ell, ell + 1, ell + 1))
+        success = 0
+        for lo in range(0, len(r), 1 << 16):  # bounded memory
+            x, y, serial, _ = score_reduced(r[lo:lo + (1 << 16)], c[lo:lo + (1 << 16)], field, search=search)
+            z = (x & y).sum(axis=1)
+            hit = serial.any(axis=1)
+            x_sums += x.sum(axis=0)
+            y_sums += y.sum(axis=0)
+            z_hist += np.bincount(z, minlength=ell + 1)
+            zz += np.bincount(z[~hit], minlength=ell + 1)
+            success += int(hit.sum())
+        assert (len(r), success, z_hist.tolist(), zz.tolist(), x_sums.tolist(), y_sums.tolist()) == want, search
     assert Fraction(success, pairs) == EXACT_SUCCESS[q, n, k]
     for s in range(ell + 1):
         if z_hist[s]:
@@ -303,6 +311,67 @@ def test_chunk_scorer_reproduces_the_exact_law(q, n, k):
     totals = experiments._run_trials(ExperimentConfig(q=q, k=k, n_values=(n,), trials=trials, seed=43), n, 0, 1)
     p = float(EXACT_SUCCESS[q, n, k])
     assert abs(totals.block_hits / trials - p) <= 4 * (p * (1 - p) / trials) ** 0.5
+
+
+@pytest.mark.parametrize("unit_slices", [False, True])
+def test_first_hit_search_stops_each_trial_at_its_first_serial_block(monkeypatch, unit_slices):
+    # GF(2) trials at k = 2, some of whose first two-way block has no
+    # serial ordering, so their search goes on to a second round: first-hit
+    # mode searches each trial's two-way blocks in block order, 1, 2, then
+    # 4 a round, and gives every trial the same first serial block as full
+    # mode, no serial bit full mode lacks, and the same x and y bits
+    if unit_slices:
+        monkeypatch.setattr(exchange, "_SLICE_ENTRIES", 1)
+    rounds = []
+    lockstep = exchange._lockstep
+
+    def recording(a, b, cand, field):
+        rounds.append(cand.copy())
+        return lockstep(a, b, cand, field)
+
+    field = make_field(2)
+    r, c = sample_reduced(derive_rng(47, 0, 0), 256, 16, 2, field)
+    x, y, full, _ = score_reduced(r, c, field)
+    monkeypatch.setattr(exchange, "_lockstep", recording)
+    fx, fy, first, _ = score_reduced(r, c, field, search="first")
+    assert (fx == x).all() and (fy == y).all()
+    assert (first.any(axis=1) == full.any(axis=1)).all() and not (first & ~full).any()
+    hit = full.any(axis=1)
+    assert (first.argmax(axis=1)[hit] == full.argmax(axis=1)[hit]).all()
+    searched = np.zeros(full.size, dtype=bool)
+    for cand in rounds:
+        assert not searched[cand].any()  # no block is searched twice
+        searched[cand] = True
+    searched = searched.reshape(full.shape)
+    rank = np.cumsum(x & y, axis=1)  # each two-way block's place among its trial's
+    # a trial whose first serial block is its j-th two-way block searches
+    # the rounds up to j's: two-way blocks 1, 2-3, 4-7 and 8
+    last = np.where(hit, rank[np.arange(len(rank)), full.argmax(axis=1)], 8)
+    upto = np.array([0, 1, 3, 3, 7, 7, 7, 7, 8])[last]
+    assert (searched == (x & y) & (rank <= upto[:, None])).all()
+    assert len(rounds) > 1 and (hit & (last > 1)).sum() > 0
+    monkeypatch.setattr(exchange, "_lockstep", lockstep)
+    assert not score_reduced(r, c, field, search="none")[2].any()
+
+
+def test_pool_workers_start_with_numpy_random_loaded():
+    # a fresh interpreter that has not imported numpy.random maps two chunks
+    # over two workers: each worker, when entered, finds numpy.random loaded
+    probe = textwrap.dedent("""
+        import os, sys
+        from fqexchange import experiments
+        assert "numpy.random" not in sys.modules
+        os.cpu_count = lambda: 2
+        def entered(_):
+            return os.getpid(), "numpy.random" in sys.modules
+        seen = experiments._map_chunks(entered, [0, 1], 2)
+        print(all(pid != os.getpid() for pid, _ in seen), all(loaded for _, loaded in seen))
+    """)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 
 # --- bound verification ---

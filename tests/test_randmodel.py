@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_completion, ref_det, ref_full_ranks, ref_matmul, ref_rank, ref_row_rank, ref_search_reduced
+from conftest import (
+    ref_completion,
+    ref_det,
+    ref_full_ranks,
+    ref_matmul,
+    ref_rank,
+    ref_row_rank,
+    ref_sample_reduced,
+    ref_search_reduced,
+)
 from fqexchange.exchange import ExchangeInstance, OrderedBasis, arrow, serial_check, serial_search
 from fqexchange.gf import make_field
 from fqexchange.matfq import MatFq, alpha, nonsingular_count, random_full_ranks, rank
@@ -20,7 +29,6 @@ from fqexchange.randmodel import (
     TrialOutcome,
     alpha_lower,
     block_partition,
-    _right_inverses,
     derive_rng,
     run_trial,
     sample_instances,
@@ -98,11 +106,13 @@ def test_stacked_sampler_matches_the_plain_loop(q, n):
 
 
 class _EveryCandidateFirst:
-    """A generator whose first integers call returns every (n, n) matrix once; later calls go to rng."""
+    """A generator whose first integers call returns every q-ary array of one shape once; later calls go to rng."""
 
-    def __init__(self, q, n, rng):
+    def __init__(self, q, shape, rng):
         self.q = q
-        self.every = np.array(list(product(range(q), repeat=n * n)), dtype=np.uint8).reshape(-1, n, n)
+        size = int(np.prod(shape))
+        digits = np.arange(q**size)[:, None] // q ** np.arange(size - 1, -1, -1) % q
+        self.every = digits.astype(np.uint8).reshape(-1, *shape)
         self.first = True
         self.rng = rng
 
@@ -121,7 +131,7 @@ def test_stacked_sampler_law_is_uniform_on_gl(q, n):
     # draws every other slot again until it is nonsingular; so a uniform
     # candidate gives a uniform element of GL_n(q)
     field = make_field(q)
-    fake = _EveryCandidateFirst(q, n, derive_rng(6, q, 0))
+    fake = _EveryCandidateFirst(q, (n, n), derive_rng(6, q, 0))
     got = random_full_ranks(fake, q ** (n * n), n, field)
     kept = np.array([ref_det(m.tolist(), field) != 0 for m in fake.every])
     assert (got[kept] == fake.every[kept]).all()
@@ -205,26 +215,40 @@ def _gl_law(q, n, k):
 
 @pytest.mark.parametrize("q, n, k", [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 3, 1), (3, 3, 2)])
 def test_right_inverse_law_matches_gl(q, n, k):
-    # exact: sample_reduced keeps a uniform (R, C0) when _right_inverses succeeds;
-    # over every R, rank-deficient ones included, and every C0 the kept
-    # (R, C) have the law of (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
+    # exact: fed every [R; C0^T] block once, sample_reduced keeps each block
+    # whose R C0 is nonsingular in its slot, draws every other slot again,
+    # and solves the accepted stack; over every R, rank-deficient ones
+    # included, and every C0 the kept (R, C) have the law of
+    # (M[:k], M^-1[:, :k]) for M uniform on GL_n(q)
     field = make_field(q)
     gl, gl_size = _gl_law(q, n, k)
-
-    def every(rows, cols):
-        return np.array(list(product(range(q), repeat=rows * cols)), dtype=np.uint8).reshape(-1, rows, cols)
-
-    rs, c0ts = every(k, n), every(k, n)
-    # one stacked call on every [R; C0^T] block
-    blocks = np.concatenate([np.repeat(rs, len(c0ts), axis=0), np.tile(c0ts, (len(rs), 1, 1))], axis=1)
-    ok, cs = _right_inverses(blocks, field)
-    sampled = Counter((r.tobytes(), c.tobytes()) for r, c in zip(blocks[ok, :k], cs[ok]))
+    fake = _EveryCandidateFirst(q, (2 * k, n), derive_rng(8, q, 10 * n + k))
+    rs, cs = sample_reduced(fake, len(fake.every), n, k, field)
+    assert ((rs.astype(np.int64) @ cs.astype(np.int64)) % q == np.eye(k, dtype=np.int64)).all()
+    cand = fake.every.astype(np.int64)
+    ok = _det_mod(cand[:, :k] @ cand[:, k:].transpose(0, 2, 1) % q, q) != 0  # R C0 nonsingular, mod-q integers
+    assert (rs[ok] == fake.every[ok, :k]).all()
+    sampled = Counter((r.tobytes(), c.tobytes()) for r, c in zip(rs[ok], cs[ok]))
     kept_r = {rb for rb, _ in sampled}
     assert all(ref_rank(np.frombuffer(rb, dtype=np.uint8).reshape(k, n).tolist(), field) == k for rb in kept_r)
     assert set(sampled) == set(gl)
     total = sum(sampled.values())
     for key, count in gl.items():
         assert Fraction(sampled[key], total) == Fraction(count, gl_size)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 251])
+@pytest.mark.parametrize("n, k", [(6, 1), (6, 6), (6, 4), (1, 1)])
+def test_sample_reduced_matches_the_per_round_solve(q, n, k):
+    # solving only the accepted stack draws what solving every round did:
+    # the same R and C bytes, and the generator left in the same state
+    field = make_field(q)
+    for trials in (1, 50):
+        new, old = derive_rng(31, q, 10 * n + k), derive_rng(31, q, 10 * n + k)
+        got, want = sample_reduced(new, trials, n, k, field), ref_sample_reduced(old, trials, n, k, field)
+        for g, w in zip(got, want):
+            assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_sample_reduced_shapes_and_identity():
