@@ -39,9 +39,8 @@ def src_lines(root: Path) -> int:
 def extract(rev: str, dest: Path) -> str:
     """The base revision's files in dest; returns its full hash."""
     full = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True, text=True)
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True)
     with tempfile.TemporaryFile() as fh:
-        fh.write(archive.stdout)
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=fh)
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(dest, filter="data")
@@ -58,10 +57,16 @@ def copy_worktree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
+# A process takes the peak RSS of the process it was forked from as its own
+# ru_maxrss, so each run is started from this small interpreter, not from
+# the harness, and its peak_rss_mb reads the workload.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
 def one_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "-c", _LAUNCH, sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
     if done.returncode != 0:

@@ -22,8 +22,12 @@ pairs drawn, so a change in the crosscheck draw shows even with no flag),
 search: k = 4 at n = 20, k = 6 at n = 40, and k = 3 at n = 12 with
 ``--exhaustive``, a GF(251) ``trend`` row, whose field-table indices
 x * q + y come next to 2^16, ``verify zprime`` over the extension field
-GF(125), ``verify zprime`` at n = 40 with ``--jobs 2``, through the
-process pool, and a short ``estimate alpha`` at k = 4 over GF(2) and over
+GF(125), four commands mapped over forked workers, whose chunks the
+caller and each worker share by stride: ``verify zprime`` at n = 40 with
+``--jobs 2`` (4 chunks), a two-row ``trend`` with ``--jobs 2`` (3 chunks
+a row, so the caller computes one more than its worker), ``verify
+conditional`` with ``--jobs 2`` and ``estimate alpha`` with ``--jobs 3``
+(10 chunks), and a short ``estimate alpha`` at k = 4 over GF(2) and over
 every other tabled extension field (q = 4, 8, 16, 25, 27, 32, 49, 64, 81
 and 121), so that every tabled extension field is read by some command.
 """
@@ -87,6 +91,12 @@ COMMANDS = {
     "verify_zprime_q125": ["verify", "zprime", "--q", "125", "--k", "2", "--n", "12", "--trials", "1000", "--seed", SEED],
     "verify_zprime_jobs2": ["verify", "zprime", "--q", "3", "--k", "2", "--n", "40", "--trials", "2048", "--seed", SEED,
                             "--jobs", "2"],
+    "trend_jobs2": ["trend", "--q", "3", "--k", "2", "--n", "8", "--n", "20", "--trials", "1500", "--seed", SEED,
+                    "--jobs", "2"],
+    "verify_conditional_jobs2": ["verify", "conditional", "--q", "3", "--k", "2", "--n", "10", "--trials", "1500",
+                                 "--seed", SEED, "--jobs", "2"],
+    "estimate_alpha_jobs3": ["estimate", "alpha", "--q", "3", "--k", "3", "--trials", "5000", "--seed", SEED,
+                             "--jobs", "3"],
     **{f"estimate_alpha_q{q}": ["estimate", "alpha", "--q", str(q), "--k", "4", "--trials", "1000", "--seed", SEED]
        for q in (2, 4, 8, 16, 25, 27, 32, 49, 64, 81, 121)},
 }

@@ -43,7 +43,8 @@ def _add_common(p: argparse.ArgumentParser, *, with_n: str | None = None, with_t
         p.add_argument("--n", type=_positive_int, required=True, help="rank n")
     if with_trials:
         p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (output unaffected)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="processes, this one included, which forks the other JOBS - 1 (output unaffected)")
     p.add_argument("--seed", type=int, default=None, help="base seed (default printed when unset)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", default=None, help="write records to this path instead of stdout")

@@ -6,9 +6,15 @@ in fixed chunks of _CHUNK trials, each drawn from one generator keyed by
 fixed order, and record emission is sorted, so reruns reproduce
 byte-identical CSV and JSON.  A chunk searches only what its experiment
 reads: trend and verify zprime each trial's blocks up to its first
-serial one, verify conditional none.  Worker processes only change wall
-time, never output; they are forked after the caller has imported
-numpy.random, so no worker imports it on its first chunk.  The
+serial one, verify conditional none.  Processes only change wall time,
+never output.  With N = min(jobs, chunks, CPUs) > 1 the caller forks
+N - 1 workers for the one call, after it has imported numpy.random, so
+that no worker imports it on its first chunk.  Worker w computes chunks
+w, w + N, ... and pickles their results, or what they raised, into its
+own pipe, while the caller computes chunks 0, N, ... itself.  A worker's
+exception is raised again in the caller, a worker that ends without a
+result raises ChildProcessError, and the caller kills and reaps every
+worker still running before an error leaves it.  The
 crosscheck draws each chunk of instances whole from one generator,
 (seed, 0, chunk start), with chunk bounds set by n alone.
 
@@ -23,8 +29,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import cache, partial
@@ -165,11 +172,56 @@ def _estimate(successes: int, trials: int, name: str, seed: int, runtime: float)
 
 def _map_chunks(worker, args_list, jobs: int):
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [worker(a) for a in args_list]
     import numpy.random  # noqa: F401  forked workers inherit it instead of each importing it on its first chunk
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, args_list))
+    children = []  # (pid, read end of its pipe), worker 1 first
+    running = set()
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _worker_share(worker, args_list[w::workers], write_fd)
+            os.close(write_fd)
+            running.add(pid)
+            children.append((pid, open(read_fd, "rb")))
+        parts = [None] * len(args_list)
+        parts[0::workers] = [worker(a) for a in args_list[0::workers]]
+        for w, (pid, pipe) in enumerate(children, 1):
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.discard(pid)
+            if status or not payload:
+                raise ChildProcessError(f"worker {w} ended without a result (wait status {status})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            parts[w::workers] = value
+        return parts
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, pipe in children:
+            pipe.close()
+
+
+def _worker_share(worker, share, write_fd) -> None:
+    """A forked worker's whole life: its chunks' results, or what they raised, pickled into its pipe."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, [worker(a) for a in share]))
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _chunk_ranges(trials: int):

@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -212,6 +215,34 @@ def test_jobs_flag_does_not_change_output(capsys):
     code, out2, _ = run(capsys, *args, "--jobs", "2")
     assert code == 0
     assert out1 == out2
+
+
+def test_worker_that_dies_without_a_result_exits_2(capsys, monkeypatch):
+    # the forked worker's chunk leaves through os._exit(3); the caller's
+    # own chunk runs as usual
+    caller = os.getpid()
+    chunk = experiments._estimate_chunk
+
+    def dying(args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return chunk(args)
+
+    monkeypatch.setattr(experiments, "_estimate_chunk", dying)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "estimate", "alpha", "--q", "3", "--k", "2", "--trials", "1024", "--jobs", "2",
+                         "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: worker 1 ended without a result") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = "import sys, fqexchange.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_trend_rejects_q_above_256(capsys):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -130,31 +131,56 @@ def test_estimate_deterministic_and_jobs_invariant():
 # --- trend ---
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    seen = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("jobs, chunks, cpus, want", [(64, 3, 2, 2), (64, 3, 8, 3), (2, 5, 8, 2), (1, 5, 8, None), (64, 1, 8, None)])
 def test_map_chunks_clamps_workers(monkeypatch, jobs, chunks, cpus, want):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    # the caller computes chunks 0, want, ... itself and forks want - 1
+    # workers, so the chunks run in want distinct processes; None: in-process
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    _RecordingPool.seen = []
-    assert experiments._map_chunks(abs, list(range(-chunks, 0)), jobs) == list(range(chunks, 0, -1))
-    assert _RecordingPool.seen == ([] if want is None else [want])
+    procs = want or 1
+    pids = experiments._map_chunks(lambda _: os.getpid(), list(range(chunks)), jobs)
+    assert len(set(pids)) == procs
+    assert pids == [pids[i % procs] for i in range(chunks)] and pids[0] == os.getpid()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_chunks_uneven_strides_keep_chunk_order(monkeypatch, workers):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    args = list(range(5))
+    assert experiments._map_chunks(lambda a: "x" * a, args, workers) == ["x" * a for a in args]
+
+
+def test_map_chunks_worker_error_reaches_caller_and_no_child_is_left():
+    caller = os.getpid()
+
+    def chunk(a):
+        if os.getpid() != caller:
+            raise ValueError(f"bad chunk {a}")
+        return a
+
+    with pytest.raises(ValueError, match="bad chunk 1"):
+        experiments._map_chunks(chunk, [0, 1], 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_chunks_caller_error_kills_running_workers(tmp_path):
+    # the worker would leave a mark after 2 s; the caller's own chunk raises
+    # at once, so the worker is killed and reaped before it marks
+    caller = os.getpid()
+    mark = tmp_path / "worker_finished"
+
+    def chunk(a):
+        if os.getpid() == caller:
+            raise ValueError("caller's chunk failed")
+        time.sleep(2)
+        mark.touch()
+        return a
+
+    with pytest.raises(ValueError, match="caller's chunk failed"):
+        experiments._map_chunks(chunk, [0, 1], 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not mark.exists()
 
 
 def test_trend_single_n_single_trial():
@@ -356,22 +382,23 @@ def test_first_hit_search_stops_each_trial_at_its_first_serial_block(monkeypatch
 
 def test_pool_workers_start_with_numpy_random_loaded():
     # a fresh interpreter that has not imported numpy.random maps two chunks
-    # over two workers: each worker, when entered, finds numpy.random loaded
+    # over two processes: chunk 0 runs in the caller, and chunk 1, in the
+    # forked worker, finds numpy.random loaded when entered
     probe = textwrap.dedent("""
         import os, sys
         from fqexchange import experiments
         assert "numpy.random" not in sys.modules
         os.cpu_count = lambda: 2
+        caller = os.getpid()
         def entered(_):
-            return os.getpid(), "numpy.random" in sys.modules
-        seen = experiments._map_chunks(entered, [0, 1], 2)
-        print(all(pid != os.getpid() for pid, _ in seen), all(loaded for _, loaded in seen))
+            return os.getpid() == caller, "numpy.random" in sys.modules
+        print(*experiments._map_chunks(entered, [0, 1], 2))
     """)
     src = str(Path(experiments.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "True"]
+    assert done.stdout.split() == ["(True,", "True)", "(False,", "True)"]
 
 
 # --- bound verification ---
