@@ -27,9 +27,12 @@ caller and each worker share by stride: ``verify zprime`` at n = 40 with
 ``--jobs 2`` (4 chunks), a two-row ``trend`` with ``--jobs 2`` (3 chunks
 a row, so the caller computes one more than its worker), ``verify
 conditional`` with ``--jobs 2`` and ``estimate alpha`` with ``--jobs 3``
-(10 chunks), and a short ``estimate alpha`` at k = 4 over GF(2) and over
-every other tabled extension field (q = 4, 8, 16, 25, 27, 32, 49, 64, 81
-and 121), so that every tabled extension field is read by some command.
+(10 chunks), a two-row GF(2) ``trend`` with ``--exhaustive`` in JSON (its
+analytic column null, no drop check, and each subset_success row sorted
+in after its n's block_success row), ``estimate beta`` in JSON, and a
+short ``estimate alpha`` at k = 4 over GF(2) and over every other tabled
+extension field (q = 4, 8, 16, 25, 27, 32, 49, 64, 81 and 121), so that
+every tabled extension field is read by some command.
 """
 
 from __future__ import annotations
@@ -97,6 +100,10 @@ COMMANDS = {
                                  "--seed", SEED, "--jobs", "2"],
     "estimate_alpha_jobs3": ["estimate", "alpha", "--q", "3", "--k", "3", "--trials", "5000", "--seed", SEED,
                              "--jobs", "3"],
+    "trend_q2_exhaustive_json": ["trend", "--q", "2", "--k", "2", "--n", "6", "--n", "8", "--trials", "200",
+                                 "--seed", SEED, "--exhaustive", "--format", "json"],
+    "estimate_beta_json": ["estimate", "beta", "--q", "3", "--k", "3", "--trials", "5000", "--seed", SEED,
+                           "--format", "json"],
     **{f"estimate_alpha_q{q}": ["estimate", "alpha", "--q", str(q), "--k", "4", "--trials", "1000", "--seed", SEED]
        for q in (2, 4, 8, 16, 25, 27, 32, 49, 64, 81, 121)},
 }

@@ -29,16 +29,13 @@ def main() -> None:
         q=args.q, k=args.k, n_values=n_values, trials=args.trials, seed=args.seed
     )
     t0 = time.time()
-    rows = trend(config, jobs=args.jobs)
+    rows = [r for r in trend(config, jobs=args.jobs).records if r.name == "block_success"]
     print(f"# q={args.q} k={args.k} trials={args.trials} seed={args.seed}")
     print(f"{'n':>5} {'estimate':>9} {'ci_low':>8} {'ci_high':>8} {'analytic':>10}")
     for r in rows:
         analytic = f"{r.analytic:.4g}" if r.analytic is not None else "n/a"
-        print(
-            f"{r.n:>5} {r.block.estimate:>9.4f} {r.block.ci_low:>8.4f} "
-            f"{r.block.ci_high:>8.4f} {analytic:>10}"
-        )
-    first, last = rows[0].block, rows[-1].block
+        print(f"{r.n:>5} {r.estimate:>9.4f} {r.ci_low:>8.4f} {r.ci_high:>8.4f} {analytic:>10}")
+    first, last = rows[0], rows[-1]
     gap = last.estimate - first.estimate
     halfwidths = (last.ci_high - last.ci_low) / 2 + (first.ci_high - first.ci_low) / 2
     print(f"# gap first->last: {gap:.4f}  (sum of CI half-widths: {halfwidths:.4f})")

@@ -34,7 +34,6 @@ from .randmodel import (
     zprime_zero_bound,
 )
 from .experiments import (
-    EstimateResult,
     ExperimentConfig,
     Record,
     Report,

@@ -145,8 +145,7 @@ def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
     config = ExperimentConfig(q=args.q, k=args.k, n_values=(), trials=args.trials, seed=seed)
     fn = experiments.estimate_alpha if args.target == "alpha" else experiments.estimate_beta
-    result = fn(config, jobs=args.jobs)
-    return _emit(experiments.report_from_estimate(config, result), args)
+    return _emit(fn(config, jobs=args.jobs), args)
 
 
 def _cmd_trend(args) -> int:
@@ -161,8 +160,7 @@ def _cmd_trend(args) -> int:
         q=args.q, k=args.k, n_values=n_values, trials=args.trials, seed=seed,
         exhaustive=args.exhaustive, gate=args.gate,
     )
-    rows = experiments.trend(config, jobs=args.jobs)
-    return _emit(experiments.report_from_trend(config, rows), args)
+    return _emit(experiments.trend(config, jobs=args.jobs), args)
 
 
 def _cmd_verify(args) -> int:

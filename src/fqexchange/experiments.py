@@ -1,22 +1,23 @@
 """Named, reproducible experiments with confidence intervals and reports.
 
-Every experiment is a pure function of its config: the Monte Carlo runs go
-in fixed chunks of _CHUNK trials, each drawn from one generator keyed by
-(seed, row, its first trial) and scored as one stack, chunks combine in a
-fixed order, and record emission is sorted, so reruns reproduce
-byte-identical CSV and JSON.  A chunk searches only what its experiment
-reads: trend and verify zprime each trial's blocks up to its first
-serial one, verify conditional none.  Processes only change wall time,
-never output.  With N = min(jobs, chunks, CPUs) > 1 the caller forks
+Every experiment returns a Report: its records, its flags and its
+metadata.  Every experiment is a pure function of its config: the Monte
+Carlo runs go in fixed chunks of _CHUNK trials, each drawn from one
+generator keyed by (seed, row, its first trial) and scored as one stack,
+chunks combine in a fixed order, and record emission is sorted, so reruns
+reproduce byte-identical CSV and JSON.  A chunk searches only what its
+experiment reads: trend and verify zprime each trial's blocks up to its
+first serial one, verify conditional none.  Processes only change wall
+time, never output.  With N = min(jobs, chunks, CPUs) > 1 the caller forks
 N - 1 workers for the one call, after it has imported numpy.random, so
-that no worker imports it on its first chunk.  Worker w computes chunks
-w, w + N, ... and pickles their results, or what they raised, into its
-own pipe, while the caller computes chunks 0, N, ... itself.  A worker's
-exception is raised again in the caller, a worker that ends without a
-result raises ChildProcessError, and the caller kills and reaps every
-worker still running before an error leaves it.  The
-crosscheck draws each chunk of instances whole from one generator,
-(seed, 0, chunk start), with chunk bounds set by n alone.
+that no worker imports it on its first chunk.  Worker w computes chunks w,
+w + N, ... and pickles their results, or what they raised, into its own
+pipe, while the caller computes chunks 0, N, ... itself.  A worker's
+exception is raised again in the caller, with the worker's traceback as a
+note.  A worker that ends without a result raises ChildProcessError, and
+the caller kills and reaps every worker still running before an error
+leaves it.  The crosscheck draws each chunk of instances whole from one
+generator, (seed, 0, chunk start), with chunk bounds set by n alone.
 
 Flag convention: a bound comparison is flagged when the empirical value
 falls more than four standard errors (computed at the bound) on the wrong
@@ -31,7 +32,7 @@ import math
 import os
 import pickle
 import signal
-import time
+import traceback
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import cache, partial
@@ -98,20 +99,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class EstimateResult:
-    """A point estimate with its Wilson 95% interval."""
-
-    name: str
-    successes: int
-    trials: int
-    estimate: float
-    ci_low: float
-    ci_high: float
-    seed: int
-    runtime: float
-
-
-@dataclass(frozen=True)
 class Record:
     """One serializable report line; None renders as n/a (CSV) or null (JSON)."""
 
@@ -133,14 +120,6 @@ class Report:
     records: list[Record]
     flags: list[str] = dataclass_field(default_factory=list)
     metadata: dict = dataclass_field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    n: int
-    block: EstimateResult
-    subset: Optional[EstimateResult]
-    analytic: Optional[float]
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -165,11 +144,6 @@ def _record(name: str, successes: int, trials: int, *, bounded: bool = True, **o
     return Record(name, trials=trials, successes=successes, estimate=successes / trials, ci_low=low, ci_high=high, **other)
 
 
-def _estimate(successes: int, trials: int, name: str, seed: int, runtime: float) -> EstimateResult:
-    low, high = wilson_interval(successes, trials)
-    return EstimateResult(name, successes, trials, successes / trials, low, high, seed, runtime)
-
-
 def _map_chunks(worker, args_list, jobs: int):
     workers = min(jobs, len(args_list), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
@@ -180,7 +154,12 @@ def _map_chunks(worker, args_list, jobs: int):
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _worker_share(worker, args_list[w::workers], write_fd)
@@ -216,6 +195,7 @@ def _worker_share(worker, share, write_fd) -> None:
         try:
             payload = pickle.dumps((True, [worker(a) for a in share]))
         except BaseException as exc:
+            exc.add_note(traceback.format_exc())  # pickling drops __traceback__, but keeps the notes
             payload = pickle.dumps((False, exc))
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
@@ -241,24 +221,25 @@ def _estimate_chunk(args) -> int:
     return int(test(draws, fld).sum())
 
 
-def _run_estimate(config: ExperimentConfig, kind: str, jobs: int) -> EstimateResult:
+def _run_estimate(config: ExperimentConfig, kind: str, jobs: int) -> Report:
     if _CHUNK * config.k**2 > _MAX_DRAW_BYTES:
         raise ValueError(
             f"k = {config.k} needs {_CHUNK * config.k**2} bytes per {_CHUNK}-trial draw, "
             f"above the {_MAX_DRAW_BYTES}-byte limit"
         )
-    t0 = time.perf_counter()
     args = [(kind, config.q, config.k, config.seed, lo, hi) for lo, hi in _chunk_ranges(config.trials)]
     successes = sum(_map_chunks(_estimate_chunk, args, jobs))
-    return _estimate(successes, config.trials, kind, config.seed, time.perf_counter() - t0)
+    analytic = (alpha if kind == "alpha" else beta)(config.k, config.q)
+    rec = _record(kind, successes, config.trials, q=config.q, k=config.k, analytic=float(analytic), seed=config.seed)
+    return Report([rec], [], {"experiment": f"estimate_{kind}"})
 
 
-def estimate_alpha(config: ExperimentConfig, jobs: int = 1) -> EstimateResult:
+def estimate_alpha(config: ExperimentConfig, jobs: int = 1) -> Report:
     """Fraction of uniform random k x k matrices that are nonsingular."""
     return _run_estimate(config, "alpha", jobs)
 
 
-def estimate_beta(config: ExperimentConfig, jobs: int = 1) -> EstimateResult:
+def estimate_beta(config: ExperimentConfig, jobs: int = 1) -> Report:
     """Fraction of uniform random k x k matrices with sequential full rank."""
     return _run_estimate(config, "beta", jobs)
 
@@ -304,48 +285,36 @@ def _run_trials(config: ExperimentConfig, n: int, row: int, jobs: int, search: s
     return _TrialTotals(*(sum(getattr(p, f.name) for p in parts) for f in fields(_TrialTotals)))
 
 
-def trend(config: ExperimentConfig, jobs: int = 1) -> list[TrendRow]:
+def trend(config: ExperimentConfig, jobs: int = 1) -> Report:
     """Estimate the no-serial-block failure rate shrinking as n grows.
 
-    One row per n, each from its own seed stream.  The analytic column is
-    the closed-form tail envelope at c = epsilon = 1/20 and only exists
-    for q > 2.
+    One block_success row per n, each from its own seed stream, and a
+    subset_success row where the all-subsets search ran.  The analytic
+    column is the closed-form tail envelope at c = epsilon = 1/20 and only
+    exists for q > 2, where a block_success estimate whose interval lies
+    wholly below the previous row's is flagged.
     """
     if not config.n_values:
         raise ValueError("n_values must be nonempty")
     if list(config.n_values) != sorted(config.n_values):
         raise ValueError("n_values must be ascending")
-    rows = []
-    for row_idx, n in enumerate(config.n_values):
-        t0 = time.perf_counter()
-        totals = _run_trials(config, n, row_idx, jobs)
-        dt = time.perf_counter() - t0
-        block = _estimate(totals.block_hits, totals.trials, "block_success", config.seed, dt)
-        subset = None
-        if totals.subset_ran:
-            subset = _estimate(totals.subset_hits, totals.subset_ran, "subset_success", config.seed, dt)
-        analytic = float(theorem_tail(n, config.k, config.q, _TREND_C, _TREND_EPSILON)) if config.q > 2 else None
-        rows.append(TrendRow(n, block, subset, analytic))
-    return rows
-
-
-def report_from_trend(config: ExperimentConfig, rows: list[TrendRow]) -> Report:
     records = []
     flags = []
-    for row in rows:
-        common = dict(q=config.q, k=config.k, n=row.n, seed=config.seed)
-        records.append(_record(row.block.name, row.block.successes, row.block.trials, analytic=row.analytic, **common))
-        if row.subset is not None:
-            records.append(_record(row.subset.name, row.subset.successes, row.subset.trials, **common))
-    if config.q > 2:
-        for prev, cur in zip(rows, rows[1:]):
-            decreasing = cur.block.estimate < prev.block.estimate
-            disjoint = cur.block.ci_high < prev.block.ci_low or prev.block.ci_high < cur.block.ci_low
-            if decreasing and disjoint:
-                flags.append(
-                    f"block_success dropped from {prev.block.estimate:.4f} (n={prev.n}) "
-                    f"to {cur.block.estimate:.4f} (n={cur.n}) beyond CI overlap"
-                )
+    prev = None  # the previous row's block_success record
+    for row_idx, n in enumerate(config.n_values):
+        totals = _run_trials(config, n, row_idx, jobs)
+        common = dict(q=config.q, k=config.k, n=n, seed=config.seed)
+        analytic = float(theorem_tail(n, config.k, config.q, _TREND_C, _TREND_EPSILON)) if config.q > 2 else None
+        block = _record("block_success", totals.block_hits, totals.trials, analytic=analytic, **common)
+        records.append(block)
+        if totals.subset_ran:
+            records.append(_record("subset_success", totals.subset_hits, totals.subset_ran, **common))
+        if config.q > 2 and prev is not None and block.ci_high < prev.ci_low:  # so the estimate dropped too
+            flags.append(
+                f"block_success dropped from {prev.estimate:.4f} (n={prev.n}) "
+                f"to {block.estimate:.4f} (n={n}) beyond CI overlap"
+            )
+        prev = block
     records.sort(key=lambda r: (r.n, r.name))
     metadata = {
         "experiment": "trend",
@@ -642,10 +611,3 @@ def write_json(records: list[Record], fh: IO[str]) -> None:
     payload = [{c: getattr(r, c) for c in CSV_COLUMNS} for r in records]
     json.dump(payload, fh, indent=2)
     fh.write("\n")
-
-
-def report_from_estimate(config: ExperimentConfig, result: EstimateResult) -> Report:
-    analytic = alpha(config.k, config.q) if result.name == "alpha" else beta(config.k, config.q)
-    rec = _record(result.name, result.successes, result.trials, q=config.q, k=config.k, analytic=float(analytic),
-                  seed=result.seed)
-    return Report([rec], [], {"experiment": f"estimate_{result.name}"})

@@ -66,11 +66,11 @@ def zprime_report():
 
 
 @pytest.fixture(scope="module")
-def trend_rows():
+def trend_report():
     config = ExperimentConfig(q=3, k=2, n_values=(8, 16, 32, 64, 80), trials=2000, seed=SEED)
     t0 = time.perf_counter()
-    rows = trend(config)
-    return config, rows, time.perf_counter() - t0
+    report = trend(config)
+    return config, report, time.perf_counter() - t0
 
 
 # --- criterion 1: nonsingular counts by full enumeration ---
@@ -115,11 +115,16 @@ def test_criterion_02_sequential_counts():
 
 
 def test_criterion_03_estimator_calibration():
-    ra = estimate_alpha(ExperimentConfig(q=3, k=2, n_values=(), trials=100_000, seed=SEED))
-    rb = estimate_beta(ExperimentConfig(q=3, k=3, n_values=(), trials=100_000, seed=SEED))
+    t0 = time.perf_counter()
+    (ra,) = estimate_alpha(ExperimentConfig(q=3, k=2, n_values=(), trials=100_000, seed=SEED)).records
+    ta = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    (rb,) = estimate_beta(ExperimentConfig(q=3, k=3, n_values=(), trials=100_000, seed=SEED)).records
+    tb = time.perf_counter() - t0
+    assert (ra.name, rb.name) == ("alpha", "beta")
     assert abs(ra.estimate - 16 / 27) <= 0.01, f"alpha estimate {ra.estimate}"
     assert abs(rb.estimate - 8 / 27) <= 0.01, f"beta estimate {rb.estimate}"
-    assert ra.runtime < 5.0 and rb.runtime < 5.0, f"runtimes {ra.runtime:.1f}s / {rb.runtime:.1f}s"
+    assert ta < 5.0 and tb < 5.0, f"runtimes {ta:.1f}s / {tb:.1f}s"
     verdict("3", "alpha and beta estimates within 0.01 of exact values",
             True, f"alpha off by {abs(ra.estimate - 16/27):.4f}, beta by {abs(rb.estimate - 8/27):.4f}")
 
@@ -230,18 +235,18 @@ def test_criterion_07_witness_existence():
 # --- criterion 8: the trend toward certainty ---
 
 
-def test_criterion_08_trend(trend_rows):
-    config, rows, elapsed = trend_rows
+def test_criterion_08_trend(trend_report):
+    config, report, elapsed = trend_report
     assert elapsed < 900.0, f"took {elapsed:.0f}s"
-    ests = [r.block.estimate for r in rows]
+    rows = [r for r in report.records if r.name == "block_success"]
+    assert [r.n for r in rows] == list(config.n_values)
+    ests = [r.estimate for r in rows]
     for prev, cur in zip(rows, rows[1:]):
-        overlap = (
-            cur.block.ci_high >= prev.block.ci_low and prev.block.ci_high >= cur.block.ci_low
-        )
-        assert cur.block.estimate >= prev.block.estimate or overlap, (
+        overlap = cur.ci_high >= prev.ci_low and prev.ci_high >= cur.ci_low
+        assert cur.estimate >= prev.estimate or overlap, (
             f"estimate dropped from n={prev.n} to n={cur.n} beyond CI overlap"
         )
-    first, last = rows[0].block, rows[-1].block
+    first, last = rows[0], rows[-1]
     halfwidths = (first.ci_high - first.ci_low) / 2 + (last.ci_high - last.ci_low) / 2
     assert last.estimate - first.estimate > halfwidths, "no significant rise across the range"
     # final-row floor frozen from the pilot run (scripts/trend_pilot.py)
@@ -284,7 +289,7 @@ def _recheck_trials(q, k, n, seed, count, row=0):
         assert (x_bits & y_bits).sum() >= x_bits.sum() + y_bits.sum() - len(blocks)
 
 
-def test_criterion_09_invariants(conditional_report, zprime_report, trend_rows):
+def test_criterion_09_invariants(conditional_report, zprime_report, trend_report):
     # every chunk of the shared fixtures searches two-way blocks only, each
     # trial's up to its first serial one (none for the conditional run),
     # and experiments._trial_chunk still raises if a serial block is not

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import ref_brute_force_serial, ref_crosscheck_instance, ref_is_basis, ref_rank, ref_search_reduced
 from test_exchange import TWO_SERIAL_GAP_B1, TWO_SERIAL_GAP_B2
-from fqexchange import exchange, experiments
+from fqexchange import cli, exchange, experiments
 from fqexchange.exchange import SUBSET_GATE, ExchangeInstance, SerialCertificate, arrow, serial_check, serial_search
 from fqexchange.experiments import (
     CSV_COLUMNS,
@@ -29,8 +29,6 @@ from fqexchange.experiments import (
     estimate_alpha,
     estimate_beta,
     exhaustive_small,
-    report_from_estimate,
-    report_from_trend,
     trend,
     verify_conditional_bounds,
     verify_zprime_bound,
@@ -99,24 +97,30 @@ def test_wilson_exact_coverage_small_binomial():
 
 
 def test_estimate_alpha_q2_k1():
-    res = estimate_alpha(cfg(q=2, k=1, trials=6000))
+    rep = estimate_alpha(cfg(q=2, k=1, trials=6000))
+    (res,) = rep.records
+    assert res.name == "alpha" and rep.flags == [] and rep.metadata == {"experiment": "estimate_alpha"}
     assert abs(res.estimate - 0.5) < 0.03
     assert res.ci_low <= res.estimate <= res.ci_high
     assert res.trials == 6000 and res.successes == round(res.estimate * 6000)
+    assert (res.q, res.k, res.n, res.analytic, res.seed) == (2, 1, None, 0.5, 0)
 
 
 def test_estimate_alpha_k0_exact_one():
-    res = estimate_alpha(cfg(q=3, k=0, trials=500))
+    (res,) = estimate_alpha(cfg(q=3, k=0, trials=500)).records
     assert res.estimate == 1.0
 
 
 def test_estimate_beta_q2_k2():
-    res = estimate_beta(cfg(q=2, k=2, trials=6000))
+    rep = estimate_beta(cfg(q=2, k=2, trials=6000))
+    (res,) = rep.records
+    assert res.name == "beta" and rep.metadata == {"experiment": "estimate_beta"}
     assert abs(res.estimate - 0.25) < 0.03
+    assert res.analytic == float(beta(2, 2))
 
 
 def test_estimate_beta_k0_exact_one():
-    res = estimate_beta(cfg(q=2, k=0, trials=300))
+    (res,) = estimate_beta(cfg(q=2, k=0, trials=300)).records
     assert res.estimate == 1.0
 
 
@@ -125,7 +129,7 @@ def test_estimate_deterministic_and_jobs_invariant():
     a = estimate_alpha(c)
     b = estimate_alpha(c)
     two_jobs = estimate_alpha(c, jobs=2)
-    assert (a.successes, a.trials) == (b.successes, b.trials) == (two_jobs.successes, two_jobs.trials)
+    assert a.records == b.records == two_jobs.records
 
 
 # --- trend ---
@@ -183,16 +187,59 @@ def test_map_chunks_caller_error_kills_running_workers(tmp_path):
     assert not mark.exists()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+def test_map_chunks_failed_fork_leaks_no_pipe_and_leaves_no_child(monkeypatch):
+    # the first fork starts worker 1 and the second raises, as a fork at
+    # the process limit does: worker 1 is killed and reaped, and both ends
+    # of each pipe opened are closed
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    open_before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(experiments.os, "fork", fork)
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        experiments._map_chunks(lambda a: a, list(range(3)), 3)
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == open_before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_chunks_worker_error_carries_the_worker_traceback(monkeypatch):
+    # pickling drops a worker exception's __traceback__; its note keeps the worker-side frames
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    caller = os.getpid()
+
+    def worker_side_lookup(a):
+        if os.getpid() != caller:
+            return {}[f"chunk {a}"]
+        return a
+
+    with pytest.raises(KeyError, match="chunk 1") as raised:
+        experiments._map_chunks(worker_side_lookup, [0, 1], 2)
+    notes = getattr(raised.value, "__notes__", [])
+    assert any("in worker_side_lookup" in note and "in _worker_share" in note for note in notes), notes
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_trend_single_n_single_trial():
-    rows = trend(cfg(n_values=(6,), trials=1))
-    assert len(rows) == 1
-    assert rows[0].block.estimate in (0.0, 1.0)
+    (block,) = trend(cfg(n_values=(6,), trials=1)).records
+    assert block.name == "block_success"
+    assert block.estimate in (0.0, 1.0)
 
 
 def test_trend_analytic_only_for_q_above_2():
-    rows2 = trend(cfg(q=2, n_values=(6, 8), trials=5))
+    rows2 = trend(cfg(q=2, n_values=(6, 8), trials=5)).records
     assert all(r.analytic is None for r in rows2)
-    rows3 = trend(cfg(q=3, n_values=(6, 8), trials=5))
+    rows3 = trend(cfg(q=3, n_values=(6, 8), trials=5)).records
     assert all(r.analytic is not None for r in rows3)
 
 
@@ -202,25 +249,46 @@ def test_trend_requires_ascending_n():
 
 
 def test_trend_subset_column_with_exhaustive():
-    rows = trend(cfg(n_values=(6,), trials=8, exhaustive=True))
-    assert rows[0].subset is not None
-    assert rows[0].subset.estimate >= rows[0].block.estimate
+    block, subset = trend(cfg(n_values=(6,), trials=8, exhaustive=True)).records
+    assert (block.name, subset.name) == ("block_success", "subset_success")
+    assert subset.estimate >= block.estimate
+    assert subset.analytic is None and block.analytic is not None
 
 
 def test_trend_jobs_invariant():
     c = cfg(n_values=(6, 8), trials=600, seed=11)
     one = trend(c)
     two = trend(c, jobs=2)
-    assert [(r.block.successes,) for r in one] == [(r.block.successes,) for r in two]
+    assert one.records == two.records
 
 
 def test_trend_report_structure():
     c = cfg(n_values=(6, 8), trials=50, seed=3)
-    rows = trend(c)
-    rep = report_from_trend(c, rows)
+    rep = trend(c)
     assert [r.name for r in rep.records] == ["block_success", "block_success"]
     assert [r.n for r in rep.records] == [6, 8]
     assert rep.metadata["threshold_basis"] == "pilot-calibrated"
+
+
+def _crafted_totals(block_hits: int, trials: int = 1000, ell: int = 4) -> experiments._TrialTotals:
+    blocks, bins = np.zeros(ell, dtype=np.int64), np.zeros(ell + 1, dtype=np.int64)
+    return experiments._TrialTotals(trials, blocks, blocks, block_hits, 0, 0, bins, bins)
+
+
+def test_trend_flags_a_drop_beyond_ci_overlap(monkeypatch, capsys):
+    # rows of 900 and then 500 block hits in 1000 trials: the second row's
+    # interval lies wholly below the first's
+    by_row = [900, 500]
+    monkeypatch.setattr(experiments, "_run_trials", lambda config, n, row, jobs: _crafted_totals(by_row[row]))
+    flag = "block_success dropped from 0.9000 (n=8) to 0.5000 (n=12) beyond CI overlap"
+    assert trend(cfg(n_values=(8, 12), trials=1000)).flags == [flag]
+    assert cli.main(["trend", "--q", "3", "--k", "2", "--n", "8", "--n", "12", "--trials", "1000", "--seed", "0"]) == 1
+    assert f"FLAG: {flag}" in capsys.readouterr().err
+    assert trend(cfg(q=2, n_values=(8, 12), trials=1000)).flags == []  # q = 2 never flags
+    by_row[1] = 890  # a drop whose intervals still overlap
+    first, second = trend(cfg(n_values=(8, 12), trials=1000)).records
+    assert second.estimate < first.estimate and second.ci_high >= first.ci_low
+    assert trend(cfg(n_values=(8, 12), trials=1000)).flags == []
 
 
 # --- trial chunks ---
@@ -768,7 +836,7 @@ def test_csv_and_json_carry_identical_numbers():
 
 def test_csv_missing_values_render_na():
     c = cfg(q=3, k=2, trials=50, seed=2)
-    rep = report_from_estimate(c, estimate_alpha(c))
+    rep = estimate_alpha(c)
     buf = io.StringIO()
     write_csv(rep.records, buf)
     row = buf.getvalue().splitlines()[1].split(",")
